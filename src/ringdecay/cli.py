@@ -133,6 +133,8 @@ def cmd_spectrum(args) -> int:
     elif args.d_over_lambda is not None:
         a = lattice_conversion(args.n_atoms, args.d_over_lambda)
     else:
+        if not args.lambda_over_d > 0.0:
+            raise ValueError(f"lambda_over_d must be positive, got {args.lambda_over_d!r}")
         a = lattice_conversion(args.n_atoms, 1.0 / args.lambda_over_d)
     config = RingConfig(args.n_atoms, a)
     model = _model_from_args(args)

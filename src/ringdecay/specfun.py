@@ -15,9 +15,17 @@ which follow from J_0(x) + 2 sum_m J_{2m}(x) = 1.
 
 Every coefficient is computable by two independent routes:
 
-* ``quadrature``: composite Gauss-Legendre with the panel width tied to
-  the oscillation length of J_{2n}(2at), accurate to ~1e-13 absolute for
-  a <= 1e4;
+* ``quadrature`` (the default; the name denotes the integral route): the
+  integrals in closed form.  With Z = 2a and nu = 2n,
+
+      a c_n   = sum_{k>=0} J_{nu+2k+1}(Z)                   (DLMF 10.22.6)
+      Z^3 d_n = (nu-1) [2(nu+1) sum_{k>=1} J_{nu+2k+1}(Z) + Z J_{nu+2}(Z)]
+                + Z^2 J_{nu+1}(Z),
+
+  the second from integrating the Bessel equation.  Every term keeps its
+  sign as a -> 0, so neither form cancels there.  One downward
+  recurrence at the single point Z yields a whole table, accurate to
+  ~1e-16 absolute for a <= 1e4;
 * ``series``: direct summation of the alternating power series in log
   space with compensated accumulation.  The series is only admitted
   while its largest term cannot swamp double precision (a^2 < |n| + 40);
@@ -73,7 +81,10 @@ _RESCALE = 2.0**-1000
 # halving x could underflow to zero inside the series prefactor.
 _X_TINY = 1e-300
 
-_GAUSS_NODES = 16
+# Below this c_n and d_n equal their a = 0 values to within a^2/3 <
+# 1e-100.  Above it the recurrence factor 2m/Z stays below ~1e56 for every
+# supported order, so one step cannot overflow past _RESCALE_LIMIT.
+_A_TINY = 1e-50
 
 
 def _validate_order(order, limit):
@@ -101,12 +112,12 @@ def bessel_j(order: int, x: float) -> float:
     if x < _X_TINY:
         return 1.0 if order == 0 else 0.0
     if x <= max(_SERIES_FLOOR, 2.0 * math.sqrt(order + 1.0)):
-        return float(_series_j(order, np.array([x]))[0])
-    return float(_miller_rows(np.array([x]), [order])[0, 0])
+        return _series_j(order, x)
+    return float(_miller_sweep(x, order)[order])
 
 
-def _series_j(order: int, x: np.ndarray) -> np.ndarray:
-    """Ascending power series for J_order, vectorized over x > 0.
+def _series_j(order: int, x: float) -> float:
+    """Ascending power series for J_order at x > 0.
 
     Only called where the terms decrease essentially from the start, so
     compensated accumulation is exact to a few ulp.  The leading term is
@@ -114,9 +125,9 @@ def _series_j(order: int, x: np.ndarray) -> np.ndarray:
     to zero, which is the correct double-precision answer there.
     """
     half = x / 2.0
-    term = np.exp(order * np.log(half) - math.lgamma(order + 1))
-    total = term.copy()
-    comp = np.zeros_like(term)
+    term = math.exp(order * math.log(half) - math.lgamma(order + 1))
+    total = term
+    comp = 0.0
     neg_q = -(half * half)
     m = 0
     while True:
@@ -126,113 +137,42 @@ def _series_j(order: int, x: np.ndarray) -> np.ndarray:
         t = total + y
         comp = (t - total) - y
         total = t
-        if m > 4 and np.all(np.abs(term) <= 1e-20 * (np.abs(total) + 1e-300)):
+        if m > 4 and abs(term) <= 1e-20 * (abs(total) + 1e-300):
             return total
         if m > 500:  # unreachable in the admitted region
             return total
 
 
-def _miller_rows(x: np.ndarray, orders) -> np.ndarray:
-    """Downward (Miller) recurrence for J_n(x), vectorized over x > 0.
+def _miller_sweep(x: float, top: int) -> np.ndarray:
+    """J_0(x) .. J_start(x) at one point x > 0, with start > top.
 
-    Runs j_{m-1} = (2m/x) j_m - j_{m+1} from a start order high enough
-    that the unwanted solution is damped below double precision, keeps
-    the rows listed in ``orders``, and normalizes with the identity
-    J_0 + 2 sum J_{2m} = 1.  Columns are rescaled whenever they approach
-    overflow; already-stored rows above the rescale point then flush to
-    zero, where their true values are far below double range anyway.
+    Runs j_{m-1} = (2m/x) j_m - j_{m+1} down from a start order high
+    enough that the unwanted solution is damped below double precision
+    before it reaches any order <= max(top, x), and normalizes with the
+    identity J_0 + 2 sum J_{2m} = 1.  Whenever the values approach
+    overflow they are rescaled by 2^-1000.  A value rescaled twice has
+    fallen below 2^-1000 * 1e250 * 2^-1000 and is already 0.0, so each
+    rescale touches only the values stored since the one before last.
     """
-    orders = list(orders)
-    nu = max(max(orders), int(math.ceil(float(np.max(x)))))
-    start = nu + _MILLER_PAD + int(math.ceil(math.sqrt(_MILLER_ACC * (nu + 1))))
-    if start % 2:
-        start += 1
-
-    inv_x = 1.0 / x
-    jp = np.zeros_like(x)        # j_{m+1}
-    jc = np.full_like(x, 1e-30)  # j_m, seeded at m = start
-    norm = np.zeros_like(x)
-    kept = {n: None for n in orders}
-    if start in kept:
-        kept[start] = jc.copy()
-
+    nu = max(top, math.ceil(x))
+    start = nu + _MILLER_PAD + math.ceil(math.sqrt(_MILLER_ACC * (nu + 1)))
+    start += start % 2
+    vals = [0.0] * (start + 1)
+    jp, jc = 0.0, 1e-30  # j_{m+1}, j_m, seeded at m = start
+    vals[start] = jc
+    live = mark = start + 1  # vals[m:live] may still need rescaling
+    two_over_x = 2.0 / x
     for m in range(start, 0, -1):
-        if m % 2 == 0:
-            norm += 2.0 * jc
-        jm = (2.0 * m) * inv_x * jc - jp
-        jp, jc = jc, jm
-        big = np.abs(jc) > _RESCALE_LIMIT
-        if np.any(big):
-            scale = np.where(big, _RESCALE, 1.0)
-            jc *= scale
-            jp *= scale
-            norm *= scale
-            for row in kept.values():
-                if row is not None:
-                    row *= scale
-        if (m - 1) in kept:
-            kept[m - 1] = jc.copy()
-    norm = norm + jc  # jc is now j_0
-
-    out = np.empty((len(orders), x.size))
-    for i, n in enumerate(orders):
-        out[i] = kept[n] / norm
-    return out
-
-
-def _j_even(n: int, x: np.ndarray) -> np.ndarray:
-    """J_{2n}(x) over an array with x >= 0, branch-split per column."""
-    out = np.empty_like(x)
-    zero = x < _X_TINY
-    small = (x <= _SERIES_FLOOR) & ~zero
-    large = x > _SERIES_FLOOR
-    if np.any(zero):
-        out[zero] = 1.0 if n == 0 else 0.0
-    if np.any(small):
-        out[small] = _series_j(2 * n, x[small])
-    if np.any(large):
-        out[large] = _miller_rows(x[large], [2 * n])[0]
-    return out
-
-
-def _even_rows(n_max: int, x: np.ndarray) -> np.ndarray:
-    """J_{2n}(x) for n = 0..n_max as rows, sharing one recurrence sweep.
-
-    The column split happens at the order-0 series boundary; series
-    stability only improves with order, so the split is safe everywhere.
-    """
-    out = np.empty((n_max + 1, x.size))
-    zero = x < _X_TINY
-    small = (x <= _SERIES_FLOOR) & ~zero
-    large = x > _SERIES_FLOOR
-    if np.any(zero):
-        out[:, zero] = 0.0
-        out[0, zero] = 1.0
-    if np.any(small):
-        xs = x[small]
-        for n in range(n_max + 1):
-            out[n, small] = _series_j(2 * n, xs)
-    if np.any(large):
-        out[:, large] = _miller_rows(x[large], [2 * n for n in range(n_max + 1)])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# coefficient integrals
-
-
-def _quadrature_grid(a: float):
-    """Panelized Gauss-Legendre nodes and weights on [0, 1].
-
-    The integrand J_{2n}(2at) oscillates roughly 2a/pi times over the
-    interval; the panel count caps the phase advance per panel at about
-    pi/2, where the 16-node rule is exact to machine precision.
-    """
-    panels = max(8, int(math.ceil(2.0 * a / math.pi)) * 2)
-    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-    t = ((nodes[None, :] + 1.0) / 2.0 + np.arange(panels)[:, None]) / panels
-    w = np.broadcast_to(weights / (2.0 * panels), t.shape)
-    return t.ravel(), w.ravel().copy()
+        jp, jc = jc, m * two_over_x * jc - jp
+        if abs(jc) > _RESCALE_LIMIT:
+            for i in range(m, live):
+                vals[i] *= _RESCALE
+            jc *= _RESCALE
+            jp *= _RESCALE
+            live, mark = mark, m
+        vals[m - 1] = jc
+    j = np.array(vals)
+    return j / (j[0] + 2.0 * math.fsum(j[2::2]))
 
 
 def series_admitted(n: int, a: float) -> bool:
@@ -275,12 +215,20 @@ def _coeff_series(n: int, a: float, moment: int) -> float:
             raise RuntimeError("coefficient series failed to converge")
 
 
-def _coeff_quadrature(n: int, a: float, moment: int) -> float:
-    t, w = _quadrature_grid(a)
-    vals = _j_even(n, 2.0 * a * t)
-    if moment:
-        w = w * t**moment
-    return float(np.dot(w, vals))
+def _coeff_closed_form(a: float, n_max: int, with_d: bool):
+    """c_n(a) (and d_n(a)) for n = 0..n_max from one Miller sweep at Z = 2a."""
+    z = 2.0 * a
+    j = _miller_sweep(z, 2 * n_max + 3)
+    # tail[i] = sum_{k>=0} J_{2i+2k+1}(Z), summed from the smallest terms up
+    tail = np.cumsum(j[1::2][::-1])[::-1]
+    c = tail[:n_max + 1] / a
+    if not with_d:
+        return c, None
+    n = np.arange(n_max + 1)
+    nu = 2.0 * n
+    d = ((nu - 1.0) * (2.0 * (nu + 1.0) * tail[n + 1] + z * j[2 * n + 2])
+         + z * z * j[2 * n + 1]) / z**3
+    return c, d
 
 
 def _validate_coeff_args(n, a, method):
@@ -297,13 +245,14 @@ def _validate_coeff_args(n, a, method):
 
 def _coeff(n, a, method, moment):
     n, a = _validate_coeff_args(n, a, method)
-    if a == 0.0:
+    if a < _A_TINY:
         return (1.0 / (moment + 1)) if n == 0 else 0.0
     if method == "series":
         if not series_admitted(n, a):
             raise ValueError("series unstable, use quadrature")
         return _coeff_series(n, a, moment)
-    return _coeff_quadrature(n, a, moment)
+    c, d = _coeff_closed_form(a, n, with_d=moment == 2)
+    return float(c[n] if moment == 0 else d[n])
 
 
 def coeff_c(n: int, a: float, method: str = "quadrature") -> float:
@@ -353,9 +302,11 @@ def coeff_table(a: float, n_max: int, with_d: bool = False,
                 method: str = "quadrature") -> CoefficientTable:
     """Batch-evaluate c_n(a) (and d_n(a)) for n = 0..n_max.
 
-    The quadrature route shares one downward-recurrence sweep across all
-    orders, so a full table costs little more than a single coefficient.
-    A table truncated below ceil(a) + 20 misses plateau weight and its
+    The default ``quadrature`` route evaluates the closed forms from one
+    downward-recurrence sweep at Z = 2a, so a full table costs about as
+    much as its largest coefficient.  The ``series`` route sums each
+    coefficient's power series separately and refuses where it is not
+    admitted.  A table truncated below ceil(a) + 20 misses plateau weight and its
     sum rules will not close; that case warns but still evaluates.
     """
     if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 0:
@@ -368,7 +319,7 @@ def coeff_table(a: float, n_max: int, with_d: bool = False,
             "sum rules will not close at this truncation",
             stacklevel=2,
         )
-    if a == 0.0:
+    if a < _A_TINY:
         c = np.zeros(n_max + 1)
         c[0] = 1.0
         d = None
@@ -384,8 +335,5 @@ def coeff_table(a: float, n_max: int, with_d: bool = False,
             d = np.array([_coeff(n, a, "series", 2) for n in range(n_max + 1)])
         return CoefficientTable(a=a, n_max=n_max, c=c, d=d, method=method)
 
-    t, w = _quadrature_grid(a)
-    rows = _even_rows(n_max, 2.0 * a * t)
-    c = rows @ w
-    d = rows @ (w * t * t) if with_d else None
+    c, d = _coeff_closed_form(a, n_max, with_d)
     return CoefficientTable(a=a, n_max=n_max, c=c, d=d, method=method)

@@ -11,13 +11,20 @@ independent routes compute the same spectrum:
       aligned:  rate_k = (3N/4) sum_m [(1 + cos^2 delta) c_{k - m N}(a)
                                     + (1 - 3 cos^2 delta) d_{k - m N}(a)],
 
-  truncated where the coefficients drop below ~1e-10;
+  truncated at ``alias_cutoff(a)``, past which every coefficient is
+  below 1e-17;
 
 * ``oracle_spectrum`` transforms the generating row of the coupling
   matrix directly and serves as the definitional cross-check.
 
 The aliased sum and the transform agree to ~1e-10 per mode; their
 equivalence over a parameter grid is the package's central invariant.
+
+The coefficients come from ``coeff_table``'s default route, the closed
+forms evaluated by one Bessel recurrence at Z = 2a; the power series in
+``specfun`` is their independent second route.  One table per (a,
+cutoff) serves every spectrum and single-winding rate at that a, held in
+the module's one cache.
 
 Asymptotic companions: the single-winding (continuum-limit) rate
 N c_k(a), the even-N subradiant edge rate with its exponential estimate,
@@ -34,13 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ring_model import ModelKind, RingConfig, coupling_matrix, lattice_conversion
-from .specfun import (
-    CoefficientTable,
-    _even_rows,
-    _quadrature_grid,
-    coeff_c,
-    coeff_table,
-)
+from .specfun import CoefficientTable, coeff_c, coeff_table
 
 __all__ = [
     "DecaySpectrum",
@@ -83,39 +84,33 @@ class DecaySpectrum:
 
 
 def alias_cutoff(a: float) -> int:
-    """Largest coefficient index kept in the aliased sums.
+    """Largest coefficient index kept in the aliased sums, for a >= 0.
 
-    ceil(a) + 40: the coefficient families fall off super-exponentially
-    past |n| ~ a + 15 + 5 a^(1/3), so the discarded tail stays below
-    1e-10 across the supported range.
+    ceil(a + 5 a^(1/3)) + 40: past |n| ~ a the coefficient families fall
+    off super-exponentially over a transition band whose width grows like
+    a^(1/3) (DLMF 10.20), so every discarded c_n and d_n stays below 1e-17
+    for 0 <= a <= 1e4.
     """
-    return int(math.ceil(a)) + 40
+    if not (math.isfinite(a) and a >= 0.0):
+        raise ValueError(f"size parameter a must be finite and >= 0, got {a!r}")
+    return int(math.ceil(a + 5.0 * a ** (1.0 / 3.0))) + 40
 
 
 @lru_cache(maxsize=128)
-def _cached_table(a: float, n_max: int, with_d: bool) -> CoefficientTable:
-    return coeff_table(a, n_max, with_d=with_d)
+def _cached_table(a: float, n_max: int) -> CoefficientTable:
+    return coeff_table(a, n_max, with_d=True)
 
 
-@lru_cache(maxsize=512)
-def _single_winding_cd(a: float, k_max: int):
-    """(c_n, d_n) for n = 0..k_max at one a, without full-table overhead."""
-    if a == 0.0:
-        c = np.zeros(k_max + 1)
-        c[0] = 1.0
-        d = np.zeros(k_max + 1)
-        d[0] = 1.0 / 3.0
-        return c, d
-    t, w = _quadrature_grid(a)
-    rows = _even_rows(k_max, 2.0 * a * t)
-    return rows @ w, rows @ (w * t * t)
+def _harmonic_rates(table: CoefficientTable, orders, model: ModelKind):
+    """Rate per atom carried by harmonic ``orders`` >= 0 (index or array).
 
-
-def _alias_indices(k: int, n_atoms: int, n_cut: int) -> np.ndarray:
-    m_lo = math.ceil((k - n_cut) / n_atoms)
-    m_hi = math.floor((k + n_cut) / n_atoms)
-    idx = k - n_atoms * np.arange(m_lo, m_hi + 1)
-    return np.abs(idx)
+    c_n for the scalar model, the aligned-dipole mix of c_n and d_n else.
+    """
+    c = table.c[orders]
+    if not model.is_vectorial:
+        return c
+    cos2 = math.cos(model.delta) ** 2
+    return 0.75 * ((1.0 + cos2) * c + (1.0 - 3.0 * cos2) * table.d[orders])
 
 
 def analytic_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
@@ -123,19 +118,9 @@ def analytic_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
     n = config.n_atoms
     a = config.size_parameter
     n_cut = alias_cutoff(a)
-    table = _cached_table(a, n_cut, model.is_vectorial)
-    rates = np.empty(n)
-    if model.is_vectorial:
-        cos2 = math.cos(model.delta) ** 2
-        w_c = 1.0 + cos2
-        w_d = 1.0 - 3.0 * cos2
-        for k in range(n):
-            idx = _alias_indices(k, n, n_cut)
-            rates[k] = 0.75 * n * math.fsum(w_c * table.c[idx] + w_d * table.d[idx])
-    else:
-        for k in range(n):
-            idx = _alias_indices(k, n, n_cut)
-            rates[k] = n * math.fsum(table.c[idx])
+    orders = np.arange(-n_cut, n_cut + 1)
+    weights = _harmonic_rates(_cached_table(a, n_cut), np.abs(orders), model)
+    rates = n * np.bincount(orders % n, weights=weights, minlength=n)
     return DecaySpectrum(n_atoms=n, size_parameter=a, model=model, rates=rates)
 
 
@@ -169,16 +154,17 @@ def continuous_limit_rate(n_atoms: int, a: float, k: int,
     sum whenever the alias cutoff stays below N - |k|.  Passing an
     aligned-dipole ``model`` selects the matching c/d combination.
     """
-    if not isinstance(n_atoms, (int, np.integer)) or n_atoms < 2:
-        raise ValueError(f"n_atoms must be an integer >= 2, got {n_atoms!r}")
-    if abs(k) > n_atoms / 2:
-        raise ValueError(f"|k| = {abs(k)} exceeds N/2 = {n_atoms / 2}")
-    a = float(a)
-    if model is None or not model.is_vectorial:
-        return n_atoms * coeff_c(k, a)
-    c, d = _single_winding_cd(a, abs(int(k)))
-    cos2 = math.cos(model.delta) ** 2
-    return 0.75 * n_atoms * float((1.0 + cos2) * c[abs(k)] + (1.0 - 3.0 * cos2) * d[abs(k)])
+    config = RingConfig(n_atoms, a)
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"mode index k must be an integer, got {k!r}")
+    k = abs(int(k))
+    if k > n_atoms / 2:
+        raise ValueError(f"|k| = {k} exceeds N/2 = {n_atoms / 2}")
+    a = config.size_parameter
+    table = _cached_table(a, max(k, alias_cutoff(a)))
+    if model is None:
+        model = ModelKind.scalar()
+    return config.n_atoms * float(_harmonic_rates(table, k, model))
 
 
 class SubradiantEdge(NamedTuple):

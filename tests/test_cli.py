@@ -116,6 +116,14 @@ class TestSpectrumCommand:
         _, out2, _ = run_cli(capsys, "spectrum", "--n-atoms", "8", "--lambda-over-d", "0.05")
         assert out1 == out2
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_nonpositive_lambda_over_d_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "spectrum", "--n-atoms", "10",
+                                 "--lambda-over-d", value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_oracle_path(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--n-atoms", "6", "--a", "2",
                                "--path", "oracle")

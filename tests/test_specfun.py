@@ -2,7 +2,8 @@
 
 Oracles: an independent in-test power series (+ bisection) for the J0
 zero, the even-order normalization identity, scipy for wide-grid Bessel
-cross-checks, and mpmath quadrature for coefficient spot values.
+cross-checks, scipy quadrature of scipy's J_2n for coefficients across
+the supported range, and mpmath quadrature for coefficient spot values.
 """
 
 import math
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from ringdecay import (
+    alias_cutoff,
     bessel_j,
     coeff_c,
     coeff_d,
@@ -176,6 +178,44 @@ class TestCoeffD:
         val = coeff_d(0, 50.0)
         assert abs(val) > 5e-4
         assert abs(val + 7.7037759766766e-4) < 1e-12  # frozen, mpmath-checked
+
+
+class TestQuadratureOracle:
+    # the library evaluates the integrals in closed form; scipy's adaptive
+    # quadrature of scipy's own J_2n is an independent route to the same
+    # numbers, from the plateau to past the alias cutoff
+    @pytest.mark.parametrize("a", [0.01, 5.0, 200.0, 1e4])
+    def test_against_scipy_quad(self, a):
+        limit = max(200, int(4 * a))
+        worst = 0.0
+        for n in {0, int(a // 2), int(a), alias_cutoff(a)}:
+            for moment, coeff in ((0, coeff_c), (2, coeff_d)):
+                ref, _ = integrate.quad(
+                    lambda t: t**moment * special.jv(2 * n, 2.0 * a * t), 0.0, 1.0,
+                    limit=limit,
+                )
+                worst = max(worst, abs(coeff(n, a) - ref))
+        assert worst <= 1e-12
+
+
+class TestSmallA:
+    @pytest.mark.parametrize("a", [1e-49, 1e-30, 1e-3])
+    def test_closed_form_keeps_digits(self, a):
+        # every term of the closed forms keeps its sign as a -> 0, so the
+        # default route matches the series to two ulp of 1, d_n included
+        for n in range(0, 6):
+            assert coeff_c(n, a) == pytest.approx(coeff_c(n, a, "series"), abs=3e-16)
+            assert coeff_d(n, a) == pytest.approx(coeff_d(n, a, "series"), abs=3e-16)
+
+    def test_below_threshold_is_a_zero_limit(self):
+        # below a = 1e-50 the a = 0 values are exact to far past double
+        for a in (1e-51, 1e-200, 5e-324):
+            assert coeff_c(0, a) == 1.0
+            assert coeff_d(0, a) == 1.0 / 3.0
+            assert coeff_c(4, a) == 0.0
+            table = coeff_table(a, 40, with_d=True)
+            assert table.c_sum() == 1.0
+            assert table.d_sum() == 1.0 / 3.0
 
 
 class TestMethodsAgree:

@@ -13,10 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringdecay import (
+    TOL_SUM,
     ModelKind,
     RingConfig,
+    alias_cutoff,
     analytic_spectrum,
     coeff_c,
+    coeff_table,
     continuous_limit_rate,
     large_a_vector_estimate,
     oracle_spectrum,
@@ -71,6 +74,68 @@ class TestPathEquivalence:
         ana = analytic_spectrum(config, model)
         orc = oracle_spectrum(config, model)
         assert np.max(np.abs(ana.rates - orc.rates)) < 1e-8
+
+
+class TestAliasCutoff:
+    def test_never_below_plateau_edge(self):
+        for a in (0.0, 1e-8, 1.0, 50.0, 500.0, 1e4):
+            assert alias_cutoff(a) >= math.ceil(a) + 40
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_a(self, bad):
+        with pytest.raises(ValueError):
+            alias_cutoff(bad)
+
+
+class TestLargeA:
+    # the top of the advertised range, a <= 1e4: the alias cutoff must keep
+    # every coefficient that the sum rules and the fold can see
+    @pytest.mark.parametrize("a", [500.0, 2000.0, 1e4])
+    def test_sum_rules_at_alias_cutoff(self, a):
+        table = coeff_table(a, alias_cutoff(a), with_d=True)
+        assert abs(table.c_sum() - 1.0) < TOL_SUM
+        assert abs(table.d_sum() - 1.0 / 3.0) < TOL_SUM
+
+    @pytest.mark.parametrize("a", [500.0, 2000.0, 1e4])
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label())
+    def test_oracle_and_trace(self, a, n, model):
+        config = RingConfig(n, a)
+        ana = analytic_spectrum(config, model)
+        orc = oracle_spectrum(config, model)
+        assert np.max(np.abs(ana.rates - orc.rates)) < 1e-8
+        assert abs(ana.trace() - n) < 1e-9
+        assert abs(orc.trace() - n) < 1e-9
+
+
+def _looped_rates(n, a, model):
+    # per-mode reference fold: exact fsum over the aliases k - m N
+    n_cut = alias_cutoff(a)
+    table = coeff_table(a, n_cut, with_d=True)
+    cos2 = math.cos(model.delta) ** 2 if model.is_vectorial else 0.0
+    rates = []
+    for k in range(n):
+        idx = [abs(k - m * n) for m in range(-(n_cut // n) - 2, n_cut // n + 3)
+               if abs(k - m * n) <= n_cut]
+        if model.is_vectorial:
+            terms = [0.75 * ((1 + cos2) * table.c[i] + (1 - 3 * cos2) * table.d[i])
+                     for i in idx]
+        else:
+            terms = [table.c[i] for i in idx]
+        rates.append(n * math.fsum(terms))
+    return np.array(rates)
+
+
+class TestFold:
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 500])
+    @pytest.mark.parametrize("a", [0.3, 3.7, 50.0])
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label())
+    def test_matches_looped_fsum(self, n, a, model):
+        # the vectorised fold sums in index order rather than exactly; a
+        # double-precision sum of at most 2 n_cut + 1 terms, each below
+        # 1, stays within a few hundred ulp of the exact sum
+        spec = analytic_spectrum(RingConfig(n, a), model)
+        assert np.max(np.abs(spec.rates - _looped_rates(n, a, model))) <= n * 1e-15
 
 
 class TestSpectrumInvariants:
@@ -139,6 +204,13 @@ class TestContinuousLimit:
             continuous_limit_rate(10, 1.0, 6)
         with pytest.raises(ValueError):
             continuous_limit_rate(3, 1.0, -2)
+
+    @pytest.mark.parametrize("model", [None, ModelKind.vectorial(0.0)],
+                             ids=["scalar", "vectorial"])
+    @pytest.mark.parametrize("a, k", [(-1.0, 0), (2e4, 0), (1.0, 2.5)])
+    def test_argument_validation_both_models(self, model, a, k):
+        with pytest.raises(ValueError):
+            continuous_limit_rate(10, a, k, model=model)
 
 
 class TestSubradiantEdge:

@@ -17,7 +17,6 @@ from .ring_model import (
     coupling_matrix,
     lattice_conversion,
     scalar_gamma_kernel,
-    scalar_omega_kernel,
     vector_gamma_kernel,
 )
 from .specfun import (
@@ -70,7 +69,6 @@ __all__ = [
     "oracle_spectrum",
     "run_checks",
     "scalar_gamma_kernel",
-    "scalar_omega_kernel",
     "series_admitted",
     "subradiant_edge",
     "vector_gamma_kernel",

@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_coeffs(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        table = coeff_table(args.a, args.n_max, with_d=args.with_d, method=args.method)
+        table = coeff_table(args.a, args.n_max, method=args.method)
     for w in caught:
         print(f"note: {w.message}", file=sys.stderr)
     header = "n,c,d" if args.with_d else "n,c"
@@ -161,16 +161,13 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _parse_k_list(text: str, n_atoms: int) -> list[int]:
+def _parse_k_list(text: str) -> list[int]:
     try:
         ks = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"invalid mode list {text!r}") from exc
     if not ks:
         raise ValueError("mode list is empty")
-    for k in ks:
-        if abs(k) > n_atoms / 2:
-            raise ValueError(f"|k| = {abs(k)} exceeds N/2 = {n_atoms / 2}")
     return sorted(ks)
 
 
@@ -179,7 +176,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("grid must satisfy 0 < grid-min < grid-max")
     if args.grid_points < 2:
         raise ValueError("grid-points must be at least 2")
-    ks = _parse_k_list(args.k, args.n_atoms)
+    ks = _parse_k_list(args.k)
     model = _model_from_args(args)
     grid = np.logspace(math.log10(args.grid_min), math.log10(args.grid_max),
                        args.grid_points)

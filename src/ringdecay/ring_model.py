@@ -19,7 +19,12 @@ exactly.  At cos^2(delta) = 1/3 the j1 term cancels and the aligned
 kernel reduces to the scalar one.
 
 Because the rates depend only on (j - m) mod N, the full matrix is
-circulant and is generated by its first row.
+circulant: ``CouplingMatrix`` stores only its first row, O(N) memory,
+and builds the dense N x N array on demand.
+
+``RingConfig`` and ``ModelKind`` are the argument boundary: every public
+function that takes an atom count, a size parameter or a tilt angle
+validates it through them (or through ``lattice_conversion``).
 """
 
 from __future__ import annotations
@@ -29,36 +34,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import _check_size_parameter
+
 __all__ = [
     "RingConfig",
     "ModelKind",
     "CouplingMatrix",
     "chord",
     "scalar_gamma_kernel",
-    "scalar_omega_kernel",
     "vector_gamma_kernel",
     "coupling_matrix",
     "lattice_conversion",
 ]
 
 
+def _check_n_atoms(n_atoms) -> int:
+    if not isinstance(n_atoms, (int, np.integer)) or isinstance(n_atoms, bool):
+        raise ValueError(f"n_atoms must be an integer, got {n_atoms!r}")
+    if n_atoms < 2:
+        raise ValueError(f"n_atoms must be >= 2, got {n_atoms}")
+    return int(n_atoms)
+
+
 @dataclass(frozen=True)
 class RingConfig:
-    """Ring of n_atoms emitters with size parameter a (radius x wavenumber)."""
+    """Ring of n_atoms emitters with size parameter a (radius x wavenumber).
+
+    Admits integer n_atoms >= 2 and finite 0 <= a <= 1e4, the range the
+    coefficient engine supports, so both spectrum routes see one domain.
+    """
 
     n_atoms: int
     size_parameter: float
 
     def __post_init__(self):
-        if not isinstance(self.n_atoms, (int, np.integer)) or isinstance(self.n_atoms, bool):
-            raise ValueError(f"n_atoms must be an integer, got {self.n_atoms!r}")
-        if self.n_atoms < 2:
-            raise ValueError(f"n_atoms must be >= 2, got {self.n_atoms}")
-        a = float(self.size_parameter)
-        if not math.isfinite(a) or a < 0.0:
-            raise ValueError(f"size_parameter must be finite and >= 0, got {a!r}")
-        object.__setattr__(self, "n_atoms", int(self.n_atoms))
-        object.__setattr__(self, "size_parameter", a)
+        object.__setattr__(self, "n_atoms", _check_n_atoms(self.n_atoms))
+        object.__setattr__(self, "size_parameter", _check_size_parameter(self.size_parameter))
 
     def angle(self, j: int) -> float:
         """Angular position of atom j (1-based)."""
@@ -135,17 +146,6 @@ def scalar_gamma_kernel(x):
     return float(out) if out.ndim == 0 else out
 
 
-def scalar_omega_kernel(x):
-    """Scalar pair shift rate cos(x)/x; undefined at zero separation."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("separation must be finite")
-    if np.any(x <= 0.0):
-        raise ValueError("shift kernel undefined at zero separation")
-    out = np.cos(x) / x
-    return float(out) if out.ndim == 0 else out
-
-
 # j1(x)/x = sum_m (-x^2/2)^m / (m! (2m+3)!!); five terms keep the error
 # below 1e-19 for x < 0.1, where the direct form loses ~half its digits.
 _J1X_COEFFS = (1.0 / 3.0, -1.0 / 30.0, 1.0 / 840.0, -1.0 / 45360.0, 1.0 / 3991680.0)
@@ -165,9 +165,7 @@ def _j1_over_x(x: np.ndarray) -> np.ndarray:
 
 def vector_gamma_kernel(x, delta: float):
     """Aligned-dipole pair decay rate at tilt angle delta, 1 at x = 0."""
-    delta = float(delta)
-    if not 0.0 <= delta <= math.pi / 2:
-        raise ValueError(f"delta must lie in [0, pi/2], got {delta}")
+    delta = ModelKind.vectorial(delta).delta
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("separation must be finite")
@@ -181,13 +179,19 @@ def vector_gamma_kernel(x, delta: float):
 class CouplingMatrix:
     """Circulant decay matrix in units of the linewidth.
 
-    ``first_row`` generates the matrix and is the authoritative data;
-    ``entries`` is the replicated N x N array kept for inspection.
+    ``first_row`` generates the matrix and is the only data held;
+    ``entries`` builds the replicated N x N array on demand, at 8 N^2
+    bytes per read, for inspection.
     """
 
     n_atoms: int
     first_row: np.ndarray
-    entries: np.ndarray
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense matrix, entries[j, m] = first_row[(m - j) mod N]."""
+        n = self.n_atoms
+        return self.first_row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 
 
 def _kernel_row(config: RingConfig, model: ModelKind) -> np.ndarray:
@@ -206,11 +210,8 @@ def _kernel_row(config: RingConfig, model: ModelKind) -> np.ndarray:
 
 
 def coupling_matrix(config: RingConfig, model: ModelKind) -> CouplingMatrix:
-    """Assemble the N x N decay matrix from its generating first row."""
-    n = config.n_atoms
-    row = _kernel_row(config, model)
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return CouplingMatrix(n_atoms=n, first_row=row, entries=row[idx])
+    """The N x N decay matrix, held as its generating first row."""
+    return CouplingMatrix(n_atoms=config.n_atoms, first_row=_kernel_row(config, model))
 
 
 def lattice_conversion(n_atoms: int, d_over_lambda: float) -> float:
@@ -218,8 +219,7 @@ def lattice_conversion(n_atoms: int, d_over_lambda: float) -> float:
 
     Exact inverse of RingConfig.spacing_in_wavelengths.
     """
-    if not isinstance(n_atoms, (int, np.integer)) or n_atoms < 2:
-        raise ValueError(f"n_atoms must be an integer >= 2, got {n_atoms!r}")
+    n_atoms = _check_n_atoms(n_atoms)
     d = float(d_over_lambda)
     if not math.isfinite(d) or d <= 0.0:
         raise ValueError(f"d_over_lambda must be positive, got {d!r}")

@@ -87,6 +87,16 @@ _X_TINY = 1e-300
 _A_TINY = 1e-50
 
 
+def _check_size_parameter(a) -> float:
+    """a as a float, or ValueError outside the supported 0 <= a <= _MAX_A."""
+    a = float(a)
+    if not math.isfinite(a) or a < 0.0:
+        raise ValueError(f"size parameter a must be finite and >= 0, got {a!r}")
+    if a > _MAX_A:
+        raise ValueError(f"a = {a} exceeds supported limit {_MAX_A}")
+    return a
+
+
 def _validate_order(order, limit):
     if not isinstance(order, (int, np.integer)):
         raise ValueError(f"order must be an integer, got {order!r}")
@@ -215,29 +225,22 @@ def _coeff_series(n: int, a: float, moment: int) -> float:
             raise RuntimeError("coefficient series failed to converge")
 
 
-def _coeff_closed_form(a: float, n_max: int, with_d: bool):
-    """c_n(a) (and d_n(a)) for n = 0..n_max from one Miller sweep at Z = 2a."""
+def _coeff_closed_form(a: float, n_max: int):
+    """c_n(a) and d_n(a) for n = 0..n_max from one Miller sweep at Z = 2a."""
     z = 2.0 * a
     j = _miller_sweep(z, 2 * n_max + 3)
     # tail[i] = sum_{k>=0} J_{2i+2k+1}(Z), summed from the smallest terms up
     tail = np.cumsum(j[1::2][::-1])[::-1]
     c = tail[:n_max + 1] / a
-    if not with_d:
-        return c, None
-    n = np.arange(n_max + 1)
-    nu = 2.0 * n
-    d = ((nu - 1.0) * (2.0 * (nu + 1.0) * tail[n + 1] + z * j[2 * n + 2])
-         + z * z * j[2 * n + 1]) / z**3
+    nu = np.arange(0.0, 2 * n_max + 1, 2.0)
+    d = ((nu - 1.0) * (2.0 * (nu + 1.0) * tail[1:n_max + 2] + z * j[2:2 * n_max + 3:2])
+         + z * z * j[1:2 * n_max + 2:2]) / z**3
     return c, d
 
 
 def _validate_coeff_args(n, a, method):
     _validate_order(n, _MAX_COEFF_ORDER)
-    a = float(a)
-    if not math.isfinite(a) or a < 0.0:
-        raise ValueError(f"size parameter a must be finite and >= 0, got {a!r}")
-    if a > _MAX_A:
-        raise ValueError(f"a = {a} exceeds supported limit {_MAX_A}")
+    a = _check_size_parameter(a)
     if method not in ("quadrature", "series"):
         raise ValueError(f"method must be 'quadrature' or 'series', got {method!r}")
     return abs(int(n)), a
@@ -251,7 +254,7 @@ def _coeff(n, a, method, moment):
         if not series_admitted(n, a):
             raise ValueError("series unstable, use quadrature")
         return _coeff_series(n, a, moment)
-    c, d = _coeff_closed_form(a, n, with_d=moment == 2)
+    c, d = _coeff_closed_form(a, n)
     return float(c[n] if moment == 0 else d[n])
 
 
@@ -267,7 +270,7 @@ def coeff_d(n: int, a: float, method: str = "quadrature") -> float:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """c_n(a) (and optionally d_n(a)) for n = 0..n_max.
+    """c_n(a) and d_n(a) for n = 0..n_max.
 
     Only n >= 0 is stored; both families are even in n, so negative
     lookups reflect to |n|.
@@ -276,15 +279,13 @@ class CoefficientTable:
     a: float
     n_max: int
     c: np.ndarray
-    d: np.ndarray | None
+    d: np.ndarray
     method: str
 
     def c_at(self, n: int) -> float:
         return float(self.c[abs(n)])
 
     def d_at(self, n: int) -> float:
-        if self.d is None:
-            raise ValueError("table was built without d coefficients")
         return float(self.d[abs(n)])
 
     def c_sum(self) -> float:
@@ -293,14 +294,11 @@ class CoefficientTable:
 
     def d_sum(self) -> float:
         """d_0 + 2 sum_{n>=1} d_n; closes on 1/3."""
-        if self.d is None:
-            raise ValueError("table was built without d coefficients")
         return float(self.d[0] + 2.0 * math.fsum(self.d[1:]))
 
 
-def coeff_table(a: float, n_max: int, with_d: bool = False,
-                method: str = "quadrature") -> CoefficientTable:
-    """Batch-evaluate c_n(a) (and d_n(a)) for n = 0..n_max.
+def coeff_table(a: float, n_max: int, method: str = "quadrature") -> CoefficientTable:
+    """Batch-evaluate c_n(a) and d_n(a) for n = 0..n_max <= 1e5.
 
     The default ``quadrature`` route evaluates the closed forms from one
     downward-recurrence sweep at Z = 2a, so a full table costs about as
@@ -311,8 +309,7 @@ def coeff_table(a: float, n_max: int, with_d: bool = False,
     """
     if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    n_max = int(n_max)
-    _, a = _validate_coeff_args(0, a, method)
+    n_max, a = _validate_coeff_args(n_max, a, method)
     if n_max < math.ceil(a) + 20:
         warnings.warn(
             f"n_max = {n_max} is below ceil(a) + 20 = {math.ceil(a) + 20}; "
@@ -322,18 +319,11 @@ def coeff_table(a: float, n_max: int, with_d: bool = False,
     if a < _A_TINY:
         c = np.zeros(n_max + 1)
         c[0] = 1.0
-        d = None
-        if with_d:
-            d = np.zeros(n_max + 1)
-            d[0] = 1.0 / 3.0
-        return CoefficientTable(a=a, n_max=n_max, c=c, d=d, method=method)
-
-    if method == "series":
+        d = np.zeros(n_max + 1)
+        d[0] = 1.0 / 3.0
+    elif method == "series":
         c = np.array([_coeff(n, a, "series", 0) for n in range(n_max + 1)])
-        d = None
-        if with_d:
-            d = np.array([_coeff(n, a, "series", 2) for n in range(n_max + 1)])
-        return CoefficientTable(a=a, n_max=n_max, c=c, d=d, method=method)
-
-    c, d = _coeff_closed_form(a, n_max, with_d)
+        d = np.array([_coeff(n, a, "series", 2) for n in range(n_max + 1)])
+    else:
+        c, d = _coeff_closed_form(a, n_max)
     return CoefficientTable(a=a, n_max=n_max, c=c, d=d, method=method)

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ring_model import ModelKind, RingConfig, coupling_matrix, lattice_conversion
-from .specfun import CoefficientTable, coeff_c, coeff_table
+from .specfun import CoefficientTable, _check_size_parameter, coeff_c, coeff_table
 
 __all__ = [
     "DecaySpectrum",
@@ -84,21 +84,20 @@ class DecaySpectrum:
 
 
 def alias_cutoff(a: float) -> int:
-    """Largest coefficient index kept in the aliased sums, for a >= 0.
+    """Largest coefficient index kept in the aliased sums, for 0 <= a <= 1e4.
 
     ceil(a + 5 a^(1/3)) + 40: past |n| ~ a the coefficient families fall
     off super-exponentially over a transition band whose width grows like
     a^(1/3) (DLMF 10.20), so every discarded c_n and d_n stays below 1e-17
     for 0 <= a <= 1e4.
     """
-    if not (math.isfinite(a) and a >= 0.0):
-        raise ValueError(f"size parameter a must be finite and >= 0, got {a!r}")
+    a = _check_size_parameter(a)
     return int(math.ceil(a + 5.0 * a ** (1.0 / 3.0))) + 40
 
 
 @lru_cache(maxsize=128)
 def _cached_table(a: float, n_max: int) -> CoefficientTable:
-    return coeff_table(a, n_max, with_d=True)
+    return coeff_table(a, n_max)
 
 
 def _harmonic_rates(table: CoefficientTable, orders, model: ModelKind):
@@ -127,12 +126,12 @@ def analytic_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
 def oracle_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
     """Spectrum from the discrete Fourier transform of the kernel row.
 
-    This is the definitional double sum reduced by circulant structure;
-    it never touches the coefficient machinery, which is what makes it
-    an independent check of ``analytic_spectrum``.
+    This is the definitional double sum reduced by circulant structure,
+    in O(N) memory since the matrix is held as its first row; it never
+    touches the coefficient machinery, which is what makes it an
+    independent check of ``analytic_spectrum``.
     """
-    mat = coupling_matrix(config, model)
-    transform = np.fft.fft(mat.first_row)
+    transform = np.fft.fft(coupling_matrix(config, model).first_row)
     residue = float(np.max(np.abs(transform.imag)))
     if residue > _ORACLE_IMAG_LIMIT:
         raise RuntimeError(
@@ -187,17 +186,14 @@ def subradiant_edge(n_atoms: int, d_over_lambda: float) -> SubradiantEdge:
     suppression only as d/lambda -> 0; at moderate spacing it decays
     slower than the exact rate (see the validation report).
     """
-    if not isinstance(n_atoms, (int, np.integer)) or n_atoms < 2:
-        raise ValueError(f"n_atoms must be an integer >= 2, got {n_atoms!r}")
+    a_ring = lattice_conversion(n_atoms, d_over_lambda)
     if n_atoms % 2:
         raise ValueError("edge mode is defined for an even atom count only")
     d = float(d_over_lambda)
-    if not math.isfinite(d) or d <= 0.0:
-        raise ValueError(f"d_over_lambda must be positive, got {d!r}")
     half = n_atoms // 2
     exact = n_atoms * coeff_c(half, n_atoms * d)
     asymptotic = (math.e * d) ** n_atoms / math.sqrt(2.0 * math.pi * n_atoms)
-    exact_ring = n_atoms * coeff_c(half, lattice_conversion(n_atoms, d))
+    exact_ring = n_atoms * coeff_c(half, a_ring)
     return SubradiantEdge(exact=exact, asymptotic=asymptotic, exact_ring=exact_ring)
 
 
@@ -208,16 +204,13 @@ def large_a_vector_estimate(n_atoms: int, a: float, k: int, delta: float) -> flo
     Tracks the single-winding rate (within ~20% once a >= 5N); the full
     aliased spectrum departs from it as soon as a exceeds N/2.
     """
-    if not isinstance(n_atoms, (int, np.integer)) or n_atoms < 2:
-        raise ValueError(f"n_atoms must be an integer >= 2, got {n_atoms!r}")
-    a = float(a)
-    if not a >= 1.0:
+    config = RingConfig(n_atoms, a)
+    delta = ModelKind.vectorial(delta).delta
+    n_atoms, a = config.n_atoms, config.size_parameter
+    if a < 1.0:
         raise ValueError(f"estimate requires a >= 1, got {a}")
     if abs(k) >= a:
         raise ValueError(f"estimate requires |k| < a, got k = {k}, a = {a}")
-    delta = float(delta)
-    if not 0.0 <= delta <= math.pi / 2:
-        raise ValueError(f"delta must lie in [0, pi/2], got {delta}")
     cos2 = math.cos(delta) ** 2
     return (3.0 * n_atoms / (8.0 * a)) * (
         1.0 + cos2 + (1.0 - 3.0 * cos2) * (k * k - 0.25) / (a * a)

@@ -109,7 +109,7 @@ def _check_coefficient_sums() -> list[CheckResult]:
     worst_c = worst_d = 0.0
     where_c = where_d = ""
     for a in (0.0, 1.0, 5.0, 20.0, 50.0):
-        table = coeff_table(a, math.ceil(a) + 40, with_d=True)
+        table = coeff_table(a, math.ceil(a) + 40)
         ec = abs(table.c_sum() - 1.0)
         ed = abs(table.d_sum() - 1.0 / 3.0)
         if ec > worst_c:

@@ -92,7 +92,7 @@ def test_criterion_2_sum_rules(grid_spectra):
             worst_neg = max(worst_neg, -float(spec.rates.min()))
     worst_coeff = 0.0
     for a in (0.0, 1.0, 5.0, 20.0, 50.0):
-        table = coeff_table(a, math.ceil(a) + 40, with_d=True)
+        table = coeff_table(a, math.ceil(a) + 40)
         worst_coeff = max(worst_coeff, abs(table.c_sum() - 1.0),
                           abs(table.d_sum() - 1.0 / 3.0))
     ok = report(2, "sum rules", max(worst_trace, worst_coeff), 1e-9,

@@ -1,0 +1,59 @@
+"""The argument boundary: every public entry rejects the same bad inputs.
+
+The supported range is N >= 2, 0 <= a <= 1e4 and 0 <= delta <= pi/2.
+``RingConfig`` and ``ModelKind`` hold those checks; every function that
+takes an atom count, a size parameter or a tilt angle must fail with
+``ValueError`` outside the range instead of returning a number.
+"""
+
+import math
+
+import pytest
+
+from ringdecay import (
+    ModelKind,
+    RingConfig,
+    alias_cutoff,
+    continuous_limit_rate,
+    large_a_vector_estimate,
+    lattice_conversion,
+    subradiant_edge,
+    vector_gamma_kernel,
+)
+
+BAD_N = [1]
+BAD_A = [-1.0, math.nan, math.inf, 2e4]
+BAD_DELTA = [-0.1, math.nan]
+
+# (entry, call taking the one bad argument)
+TAKES_N = [
+    ("RingConfig", lambda n: RingConfig(n, 1.0)),
+    ("lattice_conversion", lambda n: lattice_conversion(n, 0.1)),
+    ("subradiant_edge", lambda n: subradiant_edge(n, 0.1)),
+    ("large_a_vector_estimate", lambda n: large_a_vector_estimate(n, 5.0, 0, 0.3)),
+    ("continuous_limit_rate", lambda n: continuous_limit_rate(n, 1.0, 0)),
+]
+TAKES_A = [
+    ("RingConfig", lambda a: RingConfig(4, a)),
+    ("large_a_vector_estimate", lambda a: large_a_vector_estimate(10, a, 0, 0.3)),
+    ("continuous_limit_rate", lambda a: continuous_limit_rate(10, a, 0)),
+    ("alias_cutoff", alias_cutoff),
+]
+TAKES_DELTA = [
+    ("ModelKind", ModelKind.vectorial),
+    ("large_a_vector_estimate", lambda d: large_a_vector_estimate(10, 5.0, 0, d)),
+    ("vector_gamma_kernel", lambda d: vector_gamma_kernel(1.0, d)),
+]
+
+CASES = (
+    [pytest.param(call, n, id=f"{name}-n={n}") for name, call in TAKES_N for n in BAD_N]
+    + [pytest.param(call, a, id=f"{name}-a={a}") for name, call in TAKES_A for a in BAD_A]
+    + [pytest.param(call, d, id=f"{name}-delta={d}")
+       for name, call in TAKES_DELTA for d in BAD_DELTA]
+)
+
+
+@pytest.mark.parametrize("call, bad", CASES)
+def test_rejects_out_of_range(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)

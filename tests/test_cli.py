@@ -65,6 +65,12 @@ class TestCoeffs:
         assert code == 2
         assert "series unstable" in err
 
+    def test_n_max_above_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "coeffs", "--a", "1", "--n-max", "100001")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run_cli(capsys, "coeffs", "--a", "7.3", "--n-max", "30", "--with-d")
         _, out2, _ = run_cli(capsys, "coeffs", "--a", "7.3", "--n-max", "30", "--with-d")
@@ -123,6 +129,16 @@ class TestSpectrumCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_a_above_limit_fails_on_every_path(self, capsys):
+        errors = set()
+        for path in ("analytic", "oracle", "both"):
+            code, out, err = run_cli(capsys, "spectrum", "--n-atoms", "4", "--a", "1e6",
+                                     "--path", path)
+            assert code == 2
+            assert out == ""
+            errors.add(err)
+        assert errors == {"error: a = 1000000.0 exceeds supported limit 10000.0\n"}
 
     def test_oracle_path(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--n-atoms", "6", "--a", "2",

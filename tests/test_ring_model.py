@@ -19,7 +19,6 @@ from ringdecay import (
     coupling_matrix,
     lattice_conversion,
     scalar_gamma_kernel,
-    scalar_omega_kernel,
     vector_gamma_kernel,
 )
 
@@ -111,17 +110,6 @@ class TestScalarKernels:
     def test_gamma_is_bounded(self):
         x = np.linspace(0.0, 300.0, 4001)
         assert np.all(np.abs(scalar_gamma_kernel(x)) <= 1.0)
-
-    def test_omega_values(self):
-        assert scalar_omega_kernel(math.pi / 2) == pytest.approx(0.0, abs=1e-16)
-        assert scalar_omega_kernel(math.pi) == pytest.approx(-1.0 / math.pi, abs=1e-15)
-        assert scalar_omega_kernel(2 * math.pi) == pytest.approx(1.0 / (2 * math.pi), abs=1e-15)
-
-    def test_omega_rejects_zero(self):
-        with pytest.raises(ValueError, match="zero separation"):
-            scalar_omega_kernel(0.0)
-        with pytest.raises(ValueError):
-            scalar_omega_kernel(-1.0)
 
 
 class TestVectorKernel:

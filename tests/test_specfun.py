@@ -213,7 +213,7 @@ class TestSmallA:
             assert coeff_c(0, a) == 1.0
             assert coeff_d(0, a) == 1.0 / 3.0
             assert coeff_c(4, a) == 0.0
-            table = coeff_table(a, 40, with_d=True)
+            table = coeff_table(a, 40)
             assert table.c_sum() == 1.0
             assert table.d_sum() == 1.0 / 3.0
 
@@ -241,13 +241,13 @@ class TestCoefficientTable:
     def test_a_zero_exact(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # n_max deliberately tiny here
-            table = coeff_table(0.0, 5, with_d=True)
+            table = coeff_table(0.0, 5)
         assert np.array_equal(table.c, [1, 0, 0, 0, 0, 0])
         assert np.array_equal(table.d, [1.0 / 3.0, 0, 0, 0, 0, 0])
 
     @pytest.mark.parametrize("a", [0.0, 0.1, 1.0, 5.0, 20.0, 50.0])
     def test_sum_rules(self, a):
-        table = coeff_table(a, math.ceil(a) + 40, with_d=True)
+        table = coeff_table(a, math.ceil(a) + 40)
         assert abs(table.c_sum() - 1.0) < 1e-9
         assert abs(table.d_sum() - 1.0 / 3.0) < 1e-9
 
@@ -255,7 +255,7 @@ class TestCoefficientTable:
     def test_coefficient_cutoff(self, a):
         # empirical super-exponential cutoff past n ~ a + 15 + 5 a^(1/3)
         start = math.ceil(a + 15.0 + 5.0 * a ** (1.0 / 3.0))
-        table = coeff_table(a, start + 20, with_d=True)
+        table = coeff_table(a, start + 20)
         tail_c = np.abs(table.c[start:])
         tail_d = np.abs(table.d[start:])
         assert tail_c.max() <= 1e-10
@@ -265,25 +265,25 @@ class TestCoefficientTable:
         # the collapse past the plateau edge is fast but not instant:
         # at n = 61 the coefficient is still ~4e-8, and 1e-12 is only
         # reached around n = 69
-        table = coeff_table(50.0, 90, with_d=True)
+        table = coeff_table(50.0, 90)
         assert 1e-9 < table.c_at(61) < 1e-7
         assert max(abs(table.c_at(n)) for n in range(69, 91)) < 1e-12
         assert max(abs(table.d_at(n)) for n in range(69, 91)) < 1e-12
 
     def test_matches_scalar_path(self):
-        table = coeff_table(12.5, 40, with_d=True)
+        table = coeff_table(12.5, 40)
         for n in (0, 7, 23, 40):
             assert table.c_at(n) == pytest.approx(coeff_c(n, 12.5), abs=5e-16)
             assert table.d_at(n) == pytest.approx(coeff_d(n, 12.5), abs=5e-16)
 
     def test_negative_lookup(self):
-        table = coeff_table(2.0, 25, with_d=True)
+        table = coeff_table(2.0, 25)
         assert table.c_at(-7) == table.c_at(7)
         assert table.d_at(-7) == table.d_at(7)
 
     def test_series_method_table(self):
-        table = coeff_table(2.0, 25, with_d=True, method="series")
-        ref = coeff_table(2.0, 25, with_d=True)
+        table = coeff_table(2.0, 25, method="series")
+        ref = coeff_table(2.0, 25)
         assert np.max(np.abs(table.c - ref.c)) < 1e-9
         assert np.max(np.abs(table.d - ref.d)) < 1e-9
 
@@ -295,16 +295,16 @@ class TestCoefficientTable:
         with pytest.raises(ValueError):
             coeff_table(1.0, -1)
 
+    def test_n_max_limit_matches_coeff_c(self):
+        # the table admits exactly the orders a single coefficient does
+        with pytest.raises(ValueError, match="exceeds supported limit 100000"):
+            coeff_table(1.0, 10**5 + 1)
+
     def test_deterministic(self):
-        t1 = coeff_table(7.3, 50, with_d=True)
-        t2 = coeff_table(7.3, 50, with_d=True)
+        t1 = coeff_table(7.3, 50)
+        t2 = coeff_table(7.3, 50)
         assert np.array_equal(t1.c, t2.c)
         assert np.array_equal(t1.d, t2.d)
-
-    def test_d_requires_with_d(self):
-        table = coeff_table(1.0, 25)
-        with pytest.raises(ValueError):
-            table.d_at(0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -92,7 +92,7 @@ class TestLargeA:
     # every coefficient that the sum rules and the fold can see
     @pytest.mark.parametrize("a", [500.0, 2000.0, 1e4])
     def test_sum_rules_at_alias_cutoff(self, a):
-        table = coeff_table(a, alias_cutoff(a), with_d=True)
+        table = coeff_table(a, alias_cutoff(a))
         assert abs(table.c_sum() - 1.0) < TOL_SUM
         assert abs(table.d_sum() - 1.0 / 3.0) < TOL_SUM
 
@@ -111,7 +111,7 @@ class TestLargeA:
 def _looped_rates(n, a, model):
     # per-mode reference fold: exact fsum over the aliases k - m N
     n_cut = alias_cutoff(a)
-    table = coeff_table(a, n_cut, with_d=True)
+    table = coeff_table(a, n_cut)
     cos2 = math.cos(model.delta) ** 2 if model.is_vectorial else 0.0
     rates = []
     for k in range(n):
@@ -291,6 +291,20 @@ class TestLargeAVectorEstimate:
             large_a_vector_estimate(10, 3.0, 3, 0.0)
         with pytest.raises(ValueError):
             large_a_vector_estimate(10, 100.0, 0, -0.3)
+
+
+def test_oracle_memory_is_linear_in_n():
+    # the circulant is held as its first row: at N = 4096 a dense matrix
+    # alone would take 128 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        oracle_spectrum(RingConfig(4096, 50.0), ModelKind.scalar())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_concurrent_evaluation_matches_serial():

@@ -17,7 +17,7 @@ independent routes compute the same spectrum:
 * ``oracle_spectrum`` transforms the generating row of the coupling
   matrix directly and serves as the definitional cross-check.
 
-The aliased sum and the transform agree to ~1e-10 per mode; their
+The aliased sum and the transform agree to 1e-8 per mode; their
 equivalence over a parameter grid is the package's central invariant.
 
 The coefficients come from ``coeff_table``'s default route, the closed
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ring_model import ModelKind, RingConfig, coupling_matrix, lattice_conversion
-from .specfun import CoefficientTable, _check_size_parameter, coeff_c, coeff_table
+from .specfun import CoefficientTable, alias_cutoff, coeff_c, coeff_table
 
 __all__ = [
     "DecaySpectrum",
@@ -81,18 +81,6 @@ class DecaySpectrum:
 
     def trace(self) -> float:
         return float(math.fsum(self.rates))
-
-
-def alias_cutoff(a: float) -> int:
-    """Largest coefficient index kept in the aliased sums, for 0 <= a <= 1e4.
-
-    ceil(a + 5 a^(1/3)) + 40: past |n| ~ a the coefficient families fall
-    off super-exponentially over a transition band whose width grows like
-    a^(1/3) (DLMF 10.20), so every discarded c_n and d_n stays below 1e-17
-    for 0 <= a <= 1e4.
-    """
-    a = _check_size_parameter(a)
-    return int(math.ceil(a + 5.0 * a ** (1.0 / 3.0))) + 40
 
 
 @lru_cache(maxsize=128)

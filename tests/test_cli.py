@@ -59,6 +59,14 @@ class TestCoeffs:
         assert "sum rules will not close" in err
         assert out.startswith("n,c\n")
 
+    def test_large_a_truncation_note_on_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "coeffs", "--a", "2000", "--n-max", "2040",
+                                 "--with-d")
+        assert code == 0
+        assert err.startswith("note: ")
+        assert "sum rules will not close" in err
+        assert out.startswith("n,c,d\n")
+
     def test_series_refusal_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--a", "50", "--n-max", "10",
                                "--method", "series")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from ringdecay import (
+    TOL_SUM,
     alias_cutoff,
     bessel_j,
     coeff_c,
@@ -290,6 +291,22 @@ class TestCoefficientTable:
     def test_warns_when_truncated(self):
         with pytest.warns(UserWarning, match="sum rules"):
             coeff_table(5.0, 10)
+
+    def test_warns_when_large_a_sums_miss(self):
+        # ceil(a) + 40 rows leave the c-sum short by ~1.5e-9 at a = 2000
+        with pytest.warns(UserWarning, match="sum rules will not close"):
+            table = coeff_table(2000.0, 2040)
+        assert abs(table.c_sum() - 1.0) > TOL_SUM
+
+    @pytest.mark.parametrize("a, n_max", [(400.0, 440), (50.0, 90), (0.0, 5)])
+    def test_silent_when_truncated_sums_close(self, a, n_max):
+        # below alias_cutoff(a), but both sum rules still close within TOL_SUM
+        assert n_max < alias_cutoff(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = coeff_table(a, n_max)
+        assert abs(table.c_sum() - 1.0) <= TOL_SUM
+        assert abs(table.d_sum() - 1.0 / 3.0) <= TOL_SUM
 
     def test_invalid_n_max(self):
         with pytest.raises(ValueError):

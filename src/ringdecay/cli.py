@@ -1,4 +1,4 @@
-"""Command-line front end emitting deterministic CSV.
+"""Command-line front end emitting deterministic CSV and a check report.
 
 Subcommands
 -----------
@@ -7,8 +7,9 @@ spectrum  decay spectrum of a finite ring, analytic and/or brute force
 sweep     single-winding mode rates over a lambda/d grid (figure data)
 validate  run the invariant grid and report pass/fail per check
 
-All numeric output uses 17 significant digits and LF line endings, so
-identical command lines produce byte-identical files.  Exit codes:
+CSV prints integers as integers and floats at 17 significant digits,
+with LF line endings, so identical command lines produce byte-identical
+files; ``validate`` writes a text report.  Exit codes:
 0 success, 1 validation failure, 2 usage error.
 """
 
@@ -43,6 +44,12 @@ def _write_lines(lines, path: str) -> None:
             fh.write(text)
 
 
+def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
+    """One row per index: integer columns via ``str``, float columns via ``_fmt``."""
+    cells = [map(_fmt if col.dtype.kind == "f" else str, col.tolist()) for col in columns]
+    _write_lines([header, *map(",".join, zip(*cells))], path)
+
+
 def _model_from_args(args) -> ModelKind:
     if args.model == "vector":
         return ModelKind.vectorial(args.delta)
@@ -51,7 +58,7 @@ def _model_from_args(args) -> ModelKind:
 
 def _add_output(parser) -> None:
     parser.add_argument("--output", default="stdout", metavar="PATH|stdout",
-                        help="write CSV here (default: stdout)")
+                        help="write the output here (default: stdout)")
 
 
 def _add_model(parser) -> None:
@@ -97,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-atoms", type=int, default=10)
     p.add_argument("--k", default="0,1,2,4", metavar="LIST",
-                   help="comma list of signed mode indices (default: 0,1,2,4)")
+                   help="comma list of signed mode indices (default: 0,1,2,4); "
+                        "write a list that starts negative as --k=-2,2")
     p.add_argument("--grid-min", type=float, default=0.05, help="smallest lambda/d")
     p.add_argument("--grid-max", type=float, default=100.0, help="largest lambda/d")
     p.add_argument("--grid-points", type=int, default=200)
@@ -116,14 +124,10 @@ def cmd_coeffs(args) -> int:
         table = coeff_table(args.a, args.n_max, method=args.method)
     for w in caught:
         print(f"note: {w.message}", file=sys.stderr)
-    header = "n,c,d" if args.with_d else "n,c"
-    lines = [header]
-    for n in range(-args.n_max, args.n_max + 1):
-        row = [str(n), _fmt(table.c_at(n))]
-        if args.with_d:
-            row.append(_fmt(table.d_at(n)))
-        lines.append(",".join(row))
-    _write_lines(lines, args.output)
+    ns = np.arange(-args.n_max, args.n_max + 1)
+    columns = (table.c, table.d) if args.with_d else (table.c,)
+    _write_csv(args.output, "n,c,d" if args.with_d else "n,c", ns,
+               *(col[np.abs(ns)] for col in columns))
     return 0
 
 
@@ -139,25 +143,18 @@ def cmd_spectrum(args) -> int:
     config = RingConfig(args.n_atoms, a)
     model = _model_from_args(args)
 
-    ana = analytic_spectrum(config, model) if args.path in ("analytic", "both") else None
-    orc = oracle_spectrum(config, model) if args.path in ("oracle", "both") else None
-
-    if args.path == "both":
-        lines = ["k,rate,rate_oracle,abs_diff"]
-    else:
-        lines = ["k,rate"]
-    primary = ana if ana is not None else orc
-    max_diff = 0.0
-    for k in primary.signed_indices():
-        if args.path == "both":
-            diff = abs(ana.rate(k) - orc.rate(k))
-            max_diff = max(max_diff, diff)
-            lines.append(f"{k},{_fmt(ana.rate(k))},{_fmt(orc.rate(k))},{_fmt(diff)}")
-        else:
-            lines.append(f"{k},{_fmt(primary.rate(k))}")
-    _write_lines(lines, args.output)
-    if args.path == "both":
-        print(f"max_abs_diff = {_fmt(max_diff)}", file=sys.stderr)
+    # Built per call, so a wrapper patched onto this module sees every route call.
+    routes = {"analytic": (analytic_spectrum,), "oracle": (oracle_spectrum,),
+              "both": (analytic_spectrum, oracle_spectrum)}[args.path]
+    spectra = [route(config, model) for route in routes]
+    ks = np.array(spectra[0].signed_indices())
+    columns = [spec.rates[ks % config.n_atoms] for spec in spectra]
+    if len(columns) == 1:
+        _write_csv(args.output, "k,rate", ks, *columns)
+        return 0
+    diff = np.abs(columns[0] - columns[1])
+    _write_csv(args.output, "k,rate,rate_oracle,abs_diff", ks, *columns, diff)
+    print(f"max_abs_diff = {_fmt(diff.max())}", file=sys.stderr)
     return 0
 
 
@@ -180,13 +177,12 @@ def cmd_sweep(args) -> int:
     model = _model_from_args(args)
     grid = np.logspace(math.log10(args.grid_min), math.log10(args.grid_max),
                        args.grid_points)
-    lines = ["lambda_over_d,k,rate"]
+    rates = []
     for lam_over_d in grid:
         a = lattice_conversion(args.n_atoms, 1.0 / lam_over_d)
-        for k in ks:
-            rate = continuous_limit_rate(args.n_atoms, a, k, model=model)
-            lines.append(f"{_fmt(lam_over_d)},{k},{_fmt(rate)}")
-    _write_lines(lines, args.output)
+        rates += [continuous_limit_rate(args.n_atoms, a, k, model=model) for k in ks]
+    _write_csv(args.output, "lambda_over_d,k,rate",
+               np.repeat(grid, len(ks)), np.tile(ks, len(grid)), np.array(rates))
     return 0
 
 

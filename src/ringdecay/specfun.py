@@ -99,7 +99,7 @@ def _check_size_parameter(a) -> float:
 
 
 def _validate_order(order, limit):
-    if not isinstance(order, (int, np.integer)):
+    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
         raise ValueError(f"order must be an integer, got {order!r}")
     if abs(int(order)) > limit:
         raise ValueError(f"|order| = {abs(int(order))} exceeds supported limit {limit}")

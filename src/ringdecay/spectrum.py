@@ -142,7 +142,7 @@ def continuous_limit_rate(n_atoms: int, a: float, k: int,
     aligned-dipole ``model`` selects the matching c/d combination.
     """
     config = RingConfig(n_atoms, a)
-    if not isinstance(k, (int, np.integer)):
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError(f"mode index k must be an integer, got {k!r}")
     k = abs(int(k))
     if k > n_atoms / 2:

@@ -3,7 +3,9 @@
 The supported range is N >= 2, 0 <= a <= 1e4 and 0 <= delta <= pi/2.
 ``RingConfig`` and ``ModelKind`` hold those checks; every function that
 takes an atom count, a size parameter or a tilt angle must fail with
-``ValueError`` outside the range instead of returning a number.
+``ValueError`` outside the range instead of returning a number.  Integer
+arguments (orders, table sizes, mode indices) refuse ``bool``, so
+``True`` is never read as 1.
 """
 
 import math
@@ -14,6 +16,10 @@ from ringdecay import (
     ModelKind,
     RingConfig,
     alias_cutoff,
+    bessel_j,
+    coeff_c,
+    coeff_d,
+    coeff_table,
     continuous_limit_rate,
     large_a_vector_estimate,
     lattice_conversion,
@@ -45,11 +51,23 @@ TAKES_DELTA = [
     ("vector_gamma_kernel", lambda d: vector_gamma_kernel(1.0, d)),
 ]
 
+# (entry, call taking the one bool argument where an integer belongs)
+TAKES_INT = [
+    ("coeff_c", lambda b: coeff_c(b, 1.0)),
+    ("coeff_d", lambda b: coeff_d(b, 1.0)),
+    ("bessel_j", lambda b: bessel_j(b, 1.0)),
+    ("coeff_table", lambda b: coeff_table(1.0, b)),
+    ("continuous_limit_rate", lambda b: continuous_limit_rate(10, 1.0, b)),
+    ("RingConfig", lambda b: RingConfig(b, 1.0)),
+]
+
 CASES = (
     [pytest.param(call, n, id=f"{name}-n={n}") for name, call in TAKES_N for n in BAD_N]
     + [pytest.param(call, a, id=f"{name}-a={a}") for name, call in TAKES_A for a in BAD_A]
     + [pytest.param(call, d, id=f"{name}-delta={d}")
        for name, call in TAKES_DELTA for d in BAD_DELTA]
+    + [pytest.param(call, b, id=f"{name}-int={b}")
+       for name, call in TAKES_INT for b in (True, False)]
 )
 
 

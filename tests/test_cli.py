@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ringdecay import cli
 from ringdecay.cli import main
 
 
@@ -29,6 +30,13 @@ class TestCoeffs:
         assert [(r[0], float(r[1])) for r in rows] == [
             ("-2", 0.0), ("-1", 0.0), ("0", 1.0), ("1", 0.0), ("2", 0.0)
         ]
+
+    def test_exact_bytes_at_a_zero(self, capsys):
+        # integers print as integers, floats at 17 significant digits
+        code, out, err = run_cli(capsys, "coeffs", "--a", "0", "--n-max", "2", "--with-d")
+        assert code == 0
+        assert err == ""
+        assert out == "n,c,d\n-2,0,0\n-1,0,0\n0,1,0.33333333333333331\n1,0,0\n2,0,0\n"
 
     def test_plateau_and_collapse_at_a50(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--a", "50", "--n-max", "70")
@@ -108,6 +116,13 @@ class TestSpectrumCommand:
         assert float(byk[0][2]) == pytest.approx(10.0, abs=1e-6)
         assert float(byk[0][3]) < 1e-6
         assert "max_abs_diff" in err
+
+    def test_exact_bytes_two_atoms_at_a_zero(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--n-atoms", "2", "--a", "0",
+                                 "--path", "both")
+        assert code == 0
+        assert out == "k,rate,rate_oracle,abs_diff\n-1,0,0,0\n0,2,2,0\n"
+        assert err == "max_abs_diff = 0\n"
 
     def test_two_atom_rows(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--n-atoms", "2", "--a", "1")
@@ -234,6 +249,54 @@ class TestSweep:
         _, rows = csv_rows(out)
         pair = {int(r[1]): float(r[2]) for r in rows[:2]}
         assert pair[-2] == pair[2]
+
+    def test_exact_grid_and_k_columns(self, capsys):
+        # the rate column is not an exact value, so only the first two are pinned
+        code, out, _ = run_cli(capsys, "sweep", "--k=-2,2", "--grid-points", "2",
+                               "--grid-min", "1", "--grid-max", "2")
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert [",".join(r[:2]) for r in rows] == ["1,-2", "1,2", "2,-2", "2,2"]
+
+
+class TestRouteLookup:
+    """The commands look their routes up on ``ringdecay.cli`` at call time.
+
+    The benchmark tracer counts calls by replacing these module attributes;
+    a route captured at import time would run untraced.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+
+        def wrap(name):
+            inner = getattr(cli, name)
+            counts[name] = 0
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+
+        for name in ("analytic_spectrum", "oracle_spectrum", "continuous_limit_rate",
+                     "coeff_table"):
+            wrap(name)
+        return counts
+
+    def test_spectrum_both_runs_each_route_once(self, capsys, calls):
+        assert run_cli(capsys, "spectrum", "--n-atoms", "6", "--a", "2",
+                       "--path", "both")[0] == 0
+        assert calls["analytic_spectrum"] == 1
+        assert calls["oracle_spectrum"] == 1
+
+    def test_coeffs_builds_one_table(self, capsys, calls):
+        assert run_cli(capsys, "coeffs", "--a", "3", "--n-max", "10", "--with-d")[0] == 0
+        assert calls["coeff_table"] == 1
+
+    def test_sweep_calls_one_rate_per_row(self, capsys, calls):
+        assert run_cli(capsys, "sweep", "--k", "0,1", "--grid-points", "2")[0] == 0
+        assert calls["continuous_limit_rate"] == 4
 
 
 class TestValidate:

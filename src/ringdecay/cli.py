@@ -7,9 +7,12 @@ spectrum  decay spectrum of a finite ring, analytic and/or brute force
 sweep     single-winding mode rates over a lambda/d grid (figure data)
 validate  run the invariant grid and report pass/fail per check
 
-CSV prints integers as integers and floats at 17 significant digits,
-with LF line endings, so identical command lines produce byte-identical
-files; ``validate`` writes a text report.  Exit codes:
+CSV has one header line, then one line per row: integer cells in ``%d``
+and float cells in ``%.17g`` (the bytes of ``str`` and of
+``format(x, ".17g")``), joined by commas, each line ending in LF.  Rows
+are formatted and written in blocks of ``_BLOCK_ROWS``, so the writer's
+own memory does not grow with the row count.  Identical command lines
+produce byte-identical files; ``validate`` writes a text report.  Exit codes:
 0 success, 1 validation failure, 2 usage error.
 """
 
@@ -19,6 +22,7 @@ import argparse
 import math
 import sys
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -31,23 +35,36 @@ USAGE_ERROR = 2
 VALIDATION_ERROR = 1
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# Rows per ``%`` call: bounds the writer's Python objects, whatever the row count.
+_BLOCK_ROWS = 4096
 
 
-def _write_lines(lines, path: str) -> None:
-    text = "\n".join(lines) + "\n"
+def _write(path: str, chunks) -> None:
+    """Write each text chunk as it comes, to stdout or to the file at ``path``."""
     if path == "stdout":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _csv_chunks(header: str, columns):
+    """The header line, then the rows ``_BLOCK_ROWS`` at a time.
+
+    One ``%`` per block formats every cell in C: ``%d`` for integer
+    columns and ``%.17g`` for float columns, the bytes of ``str`` and
+    ``format(x, ".17g")``.
+    """
+    row = ",".join("%.17g" if col.dtype.kind == "f" else "%d" for col in columns) + "\n"
+    yield header + "\n"
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
+        yield (row * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
 
 
 def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
-    """One row per index: integer columns via ``str``, float columns via ``_fmt``."""
-    cells = [map(_fmt if col.dtype.kind == "f" else str, col.tolist()) for col in columns]
-    _write_lines([header, *map(",".join, zip(*cells))], path)
+    """One row per index of the equal-length ``columns``, under ``header``."""
+    _write(path, _csv_chunks(header, columns))
 
 
 def _model_from_args(args) -> ModelKind:
@@ -154,7 +171,7 @@ def cmd_spectrum(args) -> int:
         return 0
     diff = np.abs(columns[0] - columns[1])
     _write_csv(args.output, "k,rate,rate_oracle,abs_diff", ks, *columns, diff)
-    print(f"max_abs_diff = {_fmt(diff.max())}", file=sys.stderr)
+    print(f"max_abs_diff = {diff.max():.17g}", file=sys.stderr)
     return 0
 
 
@@ -165,7 +182,11 @@ def _parse_k_list(text: str) -> list[int]:
         raise ValueError(f"invalid mode list {text!r}") from exc
     if not ks:
         raise ValueError("mode list is empty")
-    return sorted(ks)
+    ks.sort()
+    for prev, k in zip(ks, ks[1:]):
+        if prev == k:
+            raise ValueError(f"mode index {k} is repeated in {text!r}")
+    return ks
 
 
 def cmd_sweep(args) -> int:
@@ -188,7 +209,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     results = run_checks()
-    _write_lines(format_report(results).split("\n"), args.output)
+    _write(args.output, [format_report(results), "\n"])
     return 0 if all_passed(results) else VALIDATION_ERROR
 
 

@@ -321,9 +321,10 @@ def coeff_table(a: float, n_max: int, method: str = "quadrature") -> Coefficient
     either sum rule then misses by more than ``TOL_SUM`` it warns but still
     evaluates.
     """
-    if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 0:
+    _, a = _validate_coeff_args(n_max, a, method)
+    if n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    n_max, a = _validate_coeff_args(n_max, a, method)
+    n_max = int(n_max)
     if a < _A_TINY:
         c = np.zeros(n_max + 1)
         c[0] = 1.0

@@ -1,6 +1,6 @@
 """The argument boundary: every public entry rejects the same bad inputs.
 
-The supported range is N >= 2, 0 <= a <= 1e4 and 0 <= delta <= pi/2.
+The supported range is 2 <= N <= 1e7, 0 <= a <= 1e4 and 0 <= delta <= pi/2.
 ``RingConfig`` and ``ModelKind`` hold those checks; every function that
 takes an atom count, a size parameter or a tilt angle must fail with
 ``ValueError`` outside the range instead of returning a number.  Integer
@@ -9,6 +9,7 @@ arguments (orders, table sizes, mode indices) refuse ``bool``, so
 """
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -27,7 +28,7 @@ from ringdecay import (
     vector_gamma_kernel,
 )
 
-BAD_N = [1]
+BAD_N = [1, 10**7 + 1]
 BAD_A = [-1.0, math.nan, math.inf, 2e4]
 BAD_DELTA = [-0.1, math.nan]
 
@@ -75,3 +76,21 @@ CASES = (
 def test_rejects_out_of_range(call, bad):
     with pytest.raises(ValueError):
         call(bad)
+
+
+@pytest.mark.parametrize("call", [call for _, call in TAKES_N],
+                         ids=[name for name, _ in TAKES_N])
+def test_n_above_ceiling_is_refused_before_any_allocation(call):
+    # an N-sized array would be 80 MB at the ceiling and 8 PB at 1e15
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds supported limit 10000000"):
+            call(10**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_ceiling_is_admitted():
+    assert RingConfig(10**7, 1.0).n_atoms == 10**7

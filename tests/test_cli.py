@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ringdecay import cli
@@ -19,6 +20,47 @@ def run_cli(capsys, *argv):
 def csv_rows(text):
     lines = text.strip("\n").split("\n")
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-300, 1e300, 0.1, 1 / 3, math.nan, math.inf, -math.inf]
+EDGE_INTS = [0, -1, 7, -(2**63), 2**63 - 1, -123456789012]
+
+
+def reference_lines(header, columns):
+    """Per-cell formatting: ``str`` for integers, ``format(x, ".17g")`` for floats."""
+    cells = [[format(x, ".17g") if col.dtype.kind == "f" else str(x) for x in col.tolist()]
+             for col in columns]
+    return [header, *map(",".join, zip(*cells))]
+
+
+def edge_table(rows):
+    """An integer column and two float columns cycling through edge values."""
+    i = np.arange(rows)
+    floats = np.array(EDGE_FLOATS)
+    return (np.array(EDGE_INTS, dtype=np.int64)[i % len(EDGE_INTS)],
+            floats[i % len(floats)], floats[(3 * i + 1) % len(floats)])
+
+
+class TestWriter:
+    """``_write_csv`` bytes against per-cell formatting, across a block seam."""
+
+    @pytest.mark.parametrize("rows", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
+    def test_stdout_matches_per_cell_reference(self, capsys, rows):
+        columns = edge_table(rows)
+        cli._write_csv("stdout", "n,x,y", *columns)
+        out = capsys.readouterr().out
+        # lists, so a failure reports the first differing row, not a text diff
+        assert out.split("\n") == reference_lines("n,x,y", columns) + [""]
+
+    @pytest.mark.parametrize("rows", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
+    def test_file_matches_per_cell_reference(self, capsys, tmp_path, rows):
+        columns = edge_table(rows)
+        target = tmp_path / "table.csv"
+        cli._write_csv(str(target), "n,x,y", *columns)
+        assert capsys.readouterr().out == ""
+        data = target.read_bytes()
+        assert b"\r" not in data
+        assert data.decode().split("\n") == reference_lines("n,x,y", columns) + [""]
 
 
 class TestCoeffs:
@@ -163,6 +205,13 @@ class TestSpectrumCommand:
             errors.add(err)
         assert errors == {"error: a = 1000000.0 exceeds supported limit 10000.0\n"}
 
+    def test_n_above_ceiling_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--n-atoms", str(10**15), "--a", "1",
+                                 "--path", "both")
+        assert code == 2
+        assert out == ""
+        assert err == "error: n_atoms = 1000000000000000 exceeds supported limit 10000000\n"
+
     def test_oracle_path(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--n-atoms", "6", "--a", "2",
                                "--path", "oracle")
@@ -235,6 +284,12 @@ class TestSweep:
         assert "exceeds N/2" in err
         code, _, err = run_cli(capsys, "sweep", "--k", "0,x")
         assert code == 2
+
+    def test_repeated_k_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--k", "1,1,0", "--grid-points", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: mode index 1 is repeated in '1,1,0'\n"
 
     def test_invalid_grid(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--grid-min", "2", "--grid-max", "1")

@@ -21,11 +21,9 @@ from .ring_model import (
     vector_gamma_kernel,
 )
 from .specfun import (
-    BESSEL_ABS_TOL,
     TOL_SUM,
     CoefficientTable,
     alias_cutoff,
-    bessel_j,
     coeff_c,
     coeff_d,
     coeff_table,
@@ -45,7 +43,6 @@ from .validation import CheckResult, all_passed, format_report, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "BESSEL_ABS_TOL",
     "TOL_SUM",
     "CheckResult",
     "CoefficientTable",
@@ -57,7 +54,6 @@ __all__ = [
     "alias_cutoff",
     "all_passed",
     "analytic_spectrum",
-    "bessel_j",
     "chord",
     "coeff_c",
     "coeff_d",

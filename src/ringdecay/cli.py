@@ -164,7 +164,7 @@ def cmd_spectrum(args) -> int:
     routes = {"analytic": (analytic_spectrum,), "oracle": (oracle_spectrum,),
               "both": (analytic_spectrum, oracle_spectrum)}[args.path]
     spectra = [route(config, model) for route in routes]
-    ks = np.array(spectra[0].signed_indices())
+    ks = spectra[0].signed_indices()
     columns = [spec.rates[ks % config.n_atoms] for spec in spectra]
     if len(columns) == 1:
         _write_csv(args.output, "k,rate", ks, *columns)

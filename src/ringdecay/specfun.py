@@ -1,4 +1,4 @@
-"""Integer-order Bessel functions and the ring coefficient integrals.
+"""The ring coefficient integrals, from one downward Bessel (Miller) sweep.
 
 The two coefficient families computed here,
 
@@ -45,30 +45,19 @@ import numpy as np
 
 __all__ = [
     "TOL_SUM",
-    "BESSEL_ABS_TOL",
     "CoefficientTable",
     "alias_cutoff",
-    "bessel_j",
     "coeff_c",
     "coeff_d",
     "coeff_table",
     "series_admitted",
 ]
 
-# Fixed library tolerances; the test suite depends on these exact values.
+# Fixed library tolerance TOL_SUM; the test suite depends on its exact value.
 TOL_SUM = 1e-9
-BESSEL_ABS_TOL = 1e-12
 
-_MAX_ORDER = 10**6
 _MAX_COEFF_ORDER = 10**5
 _MAX_A = 1e4
-
-# The power series is used for x <= max(_SERIES_FLOOR, 2 sqrt(order+1)).
-# In that region no term exceeds ~1e2 times the result, so plain double
-# accumulation keeps ~1e-13 absolute accuracy.  Larger x goes to the
-# downward recurrence, whose home turf is exactly the x >~ order region
-# where the series cancels catastrophically.
-_SERIES_FLOOR = 8.0
 
 # Downward-recurrence start order: max(order, x) + _MILLER_PAD +
 # sqrt(_MILLER_ACC * max(order, x)) gives the seed contamination more
@@ -77,10 +66,6 @@ _MILLER_ACC = 160.0
 _MILLER_PAD = 8
 _RESCALE_LIMIT = 1e250
 _RESCALE = 2.0**-1000
-
-# Below this the value is J_n(0) to far beyond double precision, and
-# halving x could underflow to zero inside the series prefactor.
-_X_TINY = 1e-300
 
 # Below this c_n and d_n equal their a = 0 values to within a^2/3 <
 # 1e-100.  Above it the recurrence factor 2m/Z stays below ~1e56 for every
@@ -103,55 +88,6 @@ def _validate_order(order, limit):
         raise ValueError(f"order must be an integer, got {order!r}")
     if abs(int(order)) > limit:
         raise ValueError(f"|order| = {abs(int(order))} exceeds supported limit {limit}")
-
-
-def bessel_j(order: int, x: float) -> float:
-    """Bessel function of the first kind J_order(x), integer order >= 0.
-
-    Absolute error stays below 1e-12 for x <= 1e4.  J_order(0) is 1 for
-    order 0 and 0 otherwise.
-    """
-    _validate_order(order, _MAX_ORDER)
-    order = int(order)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    if x < _X_TINY:
-        return 1.0 if order == 0 else 0.0
-    if x <= max(_SERIES_FLOOR, 2.0 * math.sqrt(order + 1.0)):
-        return _series_j(order, x)
-    return float(_miller_sweep(x, order)[order])
-
-
-def _series_j(order: int, x: float) -> float:
-    """Ascending power series for J_order at x > 0.
-
-    Only called where the terms decrease essentially from the start, so
-    compensated accumulation is exact to a few ulp.  The leading term is
-    formed in log space; for huge orders it may legitimately underflow
-    to zero, which is the correct double-precision answer there.
-    """
-    half = x / 2.0
-    term = math.exp(order * math.log(half) - math.lgamma(order + 1))
-    total = term
-    comp = 0.0
-    neg_q = -(half * half)
-    m = 0
-    while True:
-        m += 1
-        term = term * neg_q / (m * (m + order))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if m > 4 and abs(term) <= 1e-20 * (abs(total) + 1e-300):
-            return total
-        if m > 500:  # unreachable in the admitted region
-            return total
 
 
 def _miller_sweep(x: float, top: int) -> np.ndarray:

@@ -74,10 +74,10 @@ class DecaySpectrum:
     def rate(self, k: int) -> float:
         return float(self.rates[k % self.n_atoms])
 
-    def signed_indices(self) -> list[int]:
+    def signed_indices(self) -> np.ndarray:
         """Signed mode labels -floor(N/2) .. ceil(N/2)-1, one per mode."""
         n = self.n_atoms
-        return list(range(-(n // 2), (n + 1) // 2))
+        return np.arange(-(n // 2), (n + 1) // 2)
 
     def trace(self) -> float:
         return float(math.fsum(self.rates))
@@ -133,6 +133,16 @@ def oracle_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
     )
 
 
+def _check_mode_index(k, n_atoms: int) -> int:
+    """|k| for an integer (not bool) mode index with |k| <= N/2, else ValueError."""
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        raise ValueError(f"mode index k must be an integer, got {k!r}")
+    k = abs(int(k))
+    if k > n_atoms / 2:
+        raise ValueError(f"|k| = {k} exceeds N/2 = {n_atoms / 2}")
+    return k
+
+
 def continuous_limit_rate(n_atoms: int, a: float, k: int,
                           model: ModelKind | None = None) -> float:
     """Single-winding mode rate N c_k(a) (continuum / dense-ring limit).
@@ -142,11 +152,7 @@ def continuous_limit_rate(n_atoms: int, a: float, k: int,
     aligned-dipole ``model`` selects the matching c/d combination.
     """
     config = RingConfig(n_atoms, a)
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError(f"mode index k must be an integer, got {k!r}")
-    k = abs(int(k))
-    if k > n_atoms / 2:
-        raise ValueError(f"|k| = {k} exceeds N/2 = {n_atoms / 2}")
+    k = _check_mode_index(k, config.n_atoms)
     a = config.size_parameter
     table = _cached_table(a, max(k, alias_cutoff(a)))
     if model is None:
@@ -186,7 +192,7 @@ def subradiant_edge(n_atoms: int, d_over_lambda: float) -> SubradiantEdge:
 
 
 def large_a_vector_estimate(n_atoms: int, a: float, k: int, delta: float) -> float:
-    """Closed-form aligned-dipole rate for a >> 1 and |k| < a.
+    """Closed-form aligned-dipole rate for a >> 1 and integer |k| < a, |k| <= N/2.
 
     (3N / 8a) [1 + cos^2 delta + (1 - 3 cos^2 delta)(k^2 - 1/4) / a^2].
     Tracks the single-winding rate (within ~20% once a >= 5N); the full
@@ -195,6 +201,7 @@ def large_a_vector_estimate(n_atoms: int, a: float, k: int, delta: float) -> flo
     config = RingConfig(n_atoms, a)
     delta = ModelKind.vectorial(delta).delta
     n_atoms, a = config.n_atoms, config.size_parameter
+    _check_mode_index(k, n_atoms)
     if a < 1.0:
         raise ValueError(f"estimate requires a >= 1, got {a}")
     if abs(k) >= a:

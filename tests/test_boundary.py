@@ -17,7 +17,6 @@ from ringdecay import (
     ModelKind,
     RingConfig,
     alias_cutoff,
-    bessel_j,
     coeff_c,
     coeff_d,
     coeff_table,
@@ -56,10 +55,18 @@ TAKES_DELTA = [
 TAKES_INT = [
     ("coeff_c", lambda b: coeff_c(b, 1.0)),
     ("coeff_d", lambda b: coeff_d(b, 1.0)),
-    ("bessel_j", lambda b: bessel_j(b, 1.0)),
     ("coeff_table", lambda b: coeff_table(1.0, b)),
     ("continuous_limit_rate", lambda b: continuous_limit_rate(10, 1.0, b)),
+    ("large_a_vector_estimate", lambda b: large_a_vector_estimate(10, 5.0, b, 0.3)),
     ("RingConfig", lambda b: RingConfig(b, 1.0)),
+]
+
+# (entry, call taking the one bad mode index k); N = 10 admits |k| <= 5,
+# and a = 50 keeps the estimate's own |k| < a check from catching k = 6
+BAD_K = [math.nan, 2.5, 6]
+TAKES_K = [
+    ("continuous_limit_rate", lambda k: continuous_limit_rate(10, 1.0, k)),
+    ("large_a_vector_estimate", lambda k: large_a_vector_estimate(10, 50.0, k, 0.3)),
 ]
 
 CASES = (
@@ -69,6 +76,7 @@ CASES = (
        for name, call in TAKES_DELTA for d in BAD_DELTA]
     + [pytest.param(call, b, id=f"{name}-int={b}")
        for name, call in TAKES_INT for b in (True, False)]
+    + [pytest.param(call, k, id=f"{name}-k={k}") for name, call in TAKES_K for k in BAD_K]
 )
 
 

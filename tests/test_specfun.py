@@ -1,9 +1,10 @@
-"""Bessel and coefficient-integral tests.
+"""Miller-sweep and coefficient-integral tests.
 
 Oracles: an independent in-test power series (+ bisection) for the J0
-zero, the even-order normalization identity, scipy for wide-grid Bessel
-cross-checks, scipy quadrature of scipy's J_2n for coefficients across
-the supported range, and mpmath quadrature for coefficient spot values.
+zero, the Jacobi-Anger identities, scipy for wide-grid Bessel
+cross-checks of the sweep, scipy quadrature of scipy's J_2n for
+coefficients across the supported range, and mpmath quadrature for
+coefficient spot values.
 """
 
 import math
@@ -18,12 +19,12 @@ from scipy import integrate, special
 from ringdecay import (
     TOL_SUM,
     alias_cutoff,
-    bessel_j,
     coeff_c,
     coeff_d,
     coeff_table,
     series_admitted,
 )
+from ringdecay.specfun import _miller_sweep
 
 # mpmath (mp.quad of besselj, dps=30) reference values, frozen:
 #   c_n(a) = int_0^1 J_{2n}(2at) dt,  d_n(a) = int_0^1 t^2 J_{2n}(2at) dt
@@ -47,12 +48,10 @@ def j0_power_series(x):
     return total
 
 
-class TestBesselJ:
-    def test_origin_values(self):
-        assert bessel_j(0, 0.0) == 1.0
-        assert bessel_j(1, 0.0) == 0.0
-        assert bessel_j(7, 0.0) == 0.0
-
+class TestMillerSweep:
+    # _miller_sweep(x, top) is the one Bessel evaluator behind every
+    # coefficient; _coeff_closed_form calls it only at Z = 2a with
+    # 2e-50 <= Z <= 2e4 and top = 2 n_max + 3
     def test_first_j0_zero(self):
         # bracket the first sign change of the independent series near 2.4
         lo, hi = 2.0, 3.0
@@ -65,43 +64,36 @@ class TestBesselJ:
                 hi = mid
         x_star = 0.5 * (lo + hi)
         assert abs(x_star - 2.404825557695773) < 1e-12  # sanity on the oracle
-        assert abs(bessel_j(0, x_star)) < 1e-10
+        assert abs(_miller_sweep(x_star, 0)[0]) < 1e-10
 
-    @pytest.mark.parametrize("x", [0.5, 7.3, 40.0])
+    @pytest.mark.parametrize("x", [0.5, 7.3, 40.0, 2e4])
     def test_even_order_normalization(self, x):
-        # J_0(x) + 2 sum_m J_{2m}(x) = 1
-        total = bessel_j(0, x) + 2.0 * math.fsum(
-            bessel_j(2 * m, x) for m in range(1, 61)
-        )
-        assert abs(total - 1.0) < 1e-10
+        # J_0(x) + 2 sum_m J_{2m}(x) = 1 is how the sweep normalizes, so the
+        # Jacobi-Anger identities are the independent checks here:
+        #   cos x = J_0 + 2 sum_k (-1)^k J_{2k},  sin x = 2 sum_k (-1)^k J_{2k+1}
+        j = _miller_sweep(x, 0)
+        sign = np.where(np.arange(len(j)) // 2 % 2 == 0, 1.0, -1.0)
+        assert abs(j[0] + 2.0 * math.fsum(j[2::2]) - 1.0) < 1e-10
+        assert abs(2.0 * math.fsum(sign[::2] * j[::2]) - j[0] - math.cos(x)) < 1e-10
+        assert abs(2.0 * math.fsum(sign[1::2] * j[1::2]) - math.sin(x)) < 1e-10
 
     def test_against_scipy_grid(self):
-        orders = [0, 1, 2, 3, 5, 10, 21, 50, 64, 128, 180, 360]
-        xs = [1e-8, 1e-3, 0.3, 1.0, 2.405, 5.0, 7.9, 8.1, 12.0, 31.4,
-              64.0, 100.0, 129.5, 400.0, 1000.0, 10000.0]
-        worst = max(
-            abs(bessel_j(n, x) - float(special.jv(n, x)))
-            for n in orders
-            for x in xs
-        )
+        # x = 2e-50 and 2e4 are the ends of the Z = 2a range, and top is
+        # the sweep height of a full table at a = 1e4
+        top = 2 * alias_cutoff(1e4) + 3
+        orders = [0, 1, 2, 3, 5, 10, 21, 50, 64, 128, 180, 360, 5000,
+                  *range(19990, 20101), top]
+        xs = [2e-50, 1e-8, 1e-3, 0.3, 1.0, 2.405, 5.0, 7.9, 8.1, 12.0, 31.4,
+              64.0, 100.0, 129.5, 400.0, 1000.0, 10000.0, 2e4]
+        worst = 0.0
+        for x in xs:
+            j = _miller_sweep(x, top)
+            worst = max(worst, max(abs(j[n] - float(special.jv(n, x))) for n in orders))
         assert worst <= 1e-12
 
     def test_deep_tail_underflow_is_zero(self):
         # far below double range the correct double answer is 0
-        assert bessel_j(1000, 50.0) == 0.0
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            bessel_j(0, bad)
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            bessel_j(-1, 1.0)
-        with pytest.raises(ValueError):
-            bessel_j(10**6 + 1, 1.0)
-        with pytest.raises(ValueError):
-            bessel_j(1.5, 1.0)
+        assert _miller_sweep(50.0, 1000)[1000] == 0.0
 
 
 class TestCoeffC:
@@ -338,7 +330,8 @@ def test_coefficient_bounds(n, a):
 @settings(max_examples=40, deadline=None)
 @given(
     order=st.integers(min_value=0, max_value=300),
-    x=st.floats(min_value=0.0, max_value=500.0, allow_nan=False),
+    x=st.floats(min_value=2e-50, max_value=500.0, allow_nan=False),
 )
 def test_bessel_magnitude_bound(order, x):
-    assert abs(bessel_j(order, x)) <= 1.0 + 1e-12
+    # the sweep only ever runs at Z = 2a >= 2e-50
+    assert abs(_miller_sweep(x, order)[order]) <= 1.0 + 1e-12

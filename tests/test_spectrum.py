@@ -152,10 +152,10 @@ class TestSpectrumInvariants:
 
     def test_signed_view(self):
         spec = analytic_spectrum(RingConfig(10, 2.0), ModelKind.scalar())
-        assert spec.signed_indices() == list(range(-5, 5))
+        assert spec.signed_indices().tolist() == list(range(-5, 5))
         assert spec.rate(-3) == spec.rates[7]
         spec5 = analytic_spectrum(RingConfig(5, 2.0), ModelKind.scalar())
-        assert spec5.signed_indices() == [-2, -1, 0, 1, 2]
+        assert spec5.signed_indices().tolist() == [-2, -1, 0, 1, 2]
 
     def test_dicke_limit(self):
         for model in (ModelKind.scalar(), ModelKind.vectorial(0.0), ModelKind.vectorial(0.6)):
@@ -305,6 +305,21 @@ def test_oracle_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_signed_indices_memory_is_one_int_array():
+    # N int64 labels are 7.6 MiB at N = 1e6; a list of N Python ints peaks at 38 MiB
+    import tracemalloc
+
+    spec = analytic_spectrum(RingConfig(10**6, 0.0), ModelKind.scalar())
+    tracemalloc.start()
+    try:
+        ks = spec.signed_indices()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert ks[0] == -(10**6 // 2) and ks[-1] == 10**6 // 2 - 1 and len(ks) == 10**6
 
 
 def test_concurrent_evaluation_matches_serial():

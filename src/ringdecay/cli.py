@@ -44,7 +44,7 @@ def _write(path: str, chunks) -> None:
     if path == "stdout":
         sys.stdout.writelines(chunks)
     else:
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
 
 
@@ -69,8 +69,8 @@ def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
 
 def _model_from_args(args) -> ModelKind:
     if args.model == "vector":
-        return ModelKind.vectorial(args.delta)
-    return ModelKind.scalar()
+        return ModelKind.vectorial(0.0 if args.delta is None else args.delta)
+    return ModelKind("scalar", args.delta)  # refuses a tilt angle
 
 
 def _add_output(parser) -> None:
@@ -81,8 +81,8 @@ def _add_output(parser) -> None:
 def _add_model(parser) -> None:
     parser.add_argument("--model", choices=("scalar", "vector"), default="scalar",
                         help="light model (default: scalar)")
-    parser.add_argument("--delta", type=float, default=0.0, metavar="RAD",
-                        help="dipole tilt angle for --model vector (default: 0)")
+    parser.add_argument("--delta", type=float, metavar="RAD",
+                        help="dipole tilt angle, only with --model vector (default: 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +190,7 @@ def _parse_k_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    if not (0.0 < args.grid_min < args.grid_max):
+    if not (0.0 < args.grid_min < args.grid_max < math.inf):
         raise ValueError("grid must satisfy 0 < grid-min < grid-max")
     if args.grid_points < 2:
         raise ValueError("grid-points must be at least 2")

@@ -96,10 +96,10 @@ def _miller_sweep(x: float, top: int) -> np.ndarray:
     Runs j_{m-1} = (2m/x) j_m - j_{m+1} down from a start order high
     enough that the unwanted solution is damped below double precision
     before it reaches any order <= max(top, x), and normalizes with the
-    identity J_0 + 2 sum J_{2m} = 1.  Whenever the values approach
-    overflow they are rescaled by 2^-1000.  A value rescaled twice has
-    fallen below 2^-1000 * 1e250 * 2^-1000 and is already 0.0, so each
-    rescale touches only the values stored since the one before last.
+    identity J_0 + 2 sum J_{2m} = 1.  Whenever the running pair approaches
+    overflow it is rescaled by 2^-1000, and the values stored before are
+    rescaled after the loop.  Only the last two rescales are applied there:
+    a value at most 1e250 rescaled twice is already 0.0.
     """
     nu = max(top, math.ceil(x))
     start = nu + _MILLER_PAD + math.ceil(math.sqrt(_MILLER_ACC * (nu + 1)))
@@ -107,18 +107,18 @@ def _miller_sweep(x: float, top: int) -> np.ndarray:
     vals = [0.0] * (start + 1)
     jp, jc = 0.0, 1e-30  # j_{m+1}, j_m, seeded at m = start
     vals[start] = jc
-    live = mark = start + 1  # vals[m:live] may still need rescaling
+    rescaled = []  # orders m whose stored values vals[m:] missed a rescale
     two_over_x = 2.0 / x
     for m in range(start, 0, -1):
         jp, jc = jc, m * two_over_x * jc - jp
         if abs(jc) > _RESCALE_LIMIT:
-            for i in range(m, live):
-                vals[i] *= _RESCALE
             jc *= _RESCALE
             jp *= _RESCALE
-            live, mark = mark, m
+            rescaled.append(m)
         vals[m - 1] = jc
     j = np.array(vals)
+    for m in rescaled[-2:]:
+        j[m:] *= _RESCALE
     return j / (j[0] + 2.0 * math.fsum(j[2::2]))
 
 

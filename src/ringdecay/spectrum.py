@@ -46,7 +46,6 @@ from .specfun import CoefficientTable, alias_cutoff, coeff_c, coeff_table
 __all__ = [
     "DecaySpectrum",
     "SubradiantEdge",
-    "alias_cutoff",
     "analytic_spectrum",
     "oracle_spectrum",
     "continuous_limit_rate",

@@ -1,6 +1,7 @@
 """CLI tests: CSV layout, determinism, exit codes, validation report."""
 
 import math
+import os
 import subprocess
 import sys
 
@@ -212,6 +213,15 @@ class TestSpectrumCommand:
         assert out == ""
         assert err == "error: n_atoms = 1000000000000000 exceeds supported limit 10000000\n"
 
+    def test_tilt_angle_needs_vector_model(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--n-atoms", "3", "--a", "1",
+                                 "--delta", "5")
+        assert (code, out, err) == (2, "", "error: scalar model takes no tilt angle\n")
+        untilted = run_cli(capsys, "spectrum", "--n-atoms", "3", "--a", "1",
+                           "--model", "vector")
+        assert untilted == run_cli(capsys, "spectrum", "--n-atoms", "3", "--a", "1",
+                                   "--model", "vector", "--delta", "0")
+
     def test_oracle_path(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--n-atoms", "6", "--a", "2",
                                "--path", "oracle")
@@ -296,6 +306,12 @@ class TestSweep:
         assert code == 2
         code, _, err = run_cli(capsys, "sweep", "--grid-points", "1")
         assert code == 2
+        code, out, err = run_cli(capsys, "sweep", "--grid-min", "1", "--grid-max", "inf")
+        assert (code, out, err) == (2, "", "error: grid must satisfy 0 < grid-min < grid-max\n")
+
+    def test_tilt_angle_needs_vector_model(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--delta", "0.3", "--grid-points", "2")
+        assert (code, out, err) == (2, "", "error: scalar model takes no tilt angle\n")
 
     def test_signed_k(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--k=-2,2", "--grid-points", "2",
@@ -368,6 +384,18 @@ class TestValidate:
         assert len(pass_lines) == 15
         assert len(fail_lines) == 1
         assert "1 of 16 checks failed" in out
+
+    def test_report_file_is_utf8_under_ascii_locale(self, tmp_path):
+        # the report holds "Δ"; under the C locale open() would default to ASCII
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        env.pop("PYTHONIOENCODING", None)
+        report = tmp_path / "report.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringdecay", "validate", "--output", str(report)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "max |Δ|" in report.read_bytes().decode("utf-8")
 
 
 def test_module_entry_point():

@@ -16,3 +16,11 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from ringdecay import *", namespace)
     assert set(ringdecay.__all__) <= set(namespace)
+
+
+def test_one_list_of_names():
+    from ringdecay import ring_model, specfun, spectrum, validation
+
+    modules = (ring_model, specfun, spectrum, validation)
+    assert len(ringdecay.__all__) == len(set(ringdecay.__all__))
+    assert set(ringdecay.__all__) == {"__version__"}.union(*(m.__all__ for m in modules))

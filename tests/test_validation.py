@@ -3,7 +3,7 @@
 import math
 
 from ringdecay import coeff_c, coeff_d, coeff_table, series_admitted, validation
-from ringdecay.validation import _check_methods, _worst, run_checks
+from ringdecay.validation import CheckResult, _check_methods, _worst, format_report, run_checks
 
 # (name, requirement, tolerance), in report order
 CHECKS = [
@@ -31,6 +31,16 @@ def test_checks_in_order():
     results = run_checks()
     assert [(r.name, r.requirement, r.tolerance) for r in results] == CHECKS
     assert [r.name for r in results if not r.passed] == ["subradiant-slope"]
+
+
+def test_slope_note_only_when_slope_check_fails():
+    results = [CheckResult("oracle-equivalence", "max |Δ| < 1e-8", 1.0, 1e-8),
+               CheckResult("subradiant-slope", "slope within 5%", 0.01, 0.05)]
+    lines = format_report(results).splitlines()
+    assert "1 of 2 checks failed:" in lines
+    assert not [line for line in lines if line.startswith("note:")]
+    slope_failed = format_report([CheckResult("subradiant-slope", "slope within 5%", 1.0, 0.05)])
+    assert "\nnote: the subradiant-slope check" in slope_failed
 
 
 class TestWorst:

@@ -70,7 +70,17 @@ def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
 def _model_from_args(args) -> ModelKind:
     if args.model == "vector":
         return ModelKind.vectorial(0.0 if args.delta is None else args.delta)
-    return ModelKind("scalar", args.delta)  # refuses a tilt angle
+    if args.delta is not None:
+        raise ValueError("scalar model takes no tilt angle")
+    return ModelKind.scalar()
+
+
+def _a_from_lambda_over_d(n_atoms, lambda_over_d) -> float:
+    """Size parameter at spacing d/lambda = 1/lambda_over_d."""
+    lam = float(lambda_over_d)  # a numpy scalar would warn where 1/lam overflows
+    if not (0.0 < lam < math.inf and math.isfinite(1.0 / lam)):
+        raise ValueError(f"lambda_over_d and its inverse must be finite and > 0, got {lam!r}")
+    return lattice_conversion(n_atoms, 1.0 / lam)
 
 
 def _add_output(parser) -> None:
@@ -98,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-d", action="store_true", help="include the d_n column")
     p.add_argument("--method", choices=("quadrature", "series"), default="quadrature")
     _add_output(p)
+    p.set_defaults(run=cmd_coeffs)
 
     p = sub.add_parser("spectrum", help="emit the decay spectrum as CSV")
     p.add_argument("--n-atoms", type=int, required=True)
@@ -111,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", choices=("analytic", "oracle", "both"), default="analytic",
                    help="which computation to emit (default: analytic)")
     _add_output(p)
+    p.set_defaults(run=cmd_spectrum)
 
     p = sub.add_parser(
         "sweep",
@@ -128,9 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=200)
     _add_model(p)
     _add_output(p)
+    p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("validate", help="run the invariant grid; exit 0 iff all pass")
     _add_output(p)
+    p.set_defaults(run=cmd_validate)
 
     return parser
 
@@ -154,9 +168,7 @@ def cmd_spectrum(args) -> int:
     elif args.d_over_lambda is not None:
         a = lattice_conversion(args.n_atoms, args.d_over_lambda)
     else:
-        if not args.lambda_over_d > 0.0:
-            raise ValueError(f"lambda_over_d must be positive, got {args.lambda_over_d!r}")
-        a = lattice_conversion(args.n_atoms, 1.0 / args.lambda_over_d)
+        a = _a_from_lambda_over_d(args.n_atoms, args.lambda_over_d)
     config = RingConfig(args.n_atoms, a)
     model = _model_from_args(args)
 
@@ -200,7 +212,7 @@ def cmd_sweep(args) -> int:
                        args.grid_points)
     rates = []
     for lam_over_d in grid:
-        a = lattice_conversion(args.n_atoms, 1.0 / lam_over_d)
+        a = _a_from_lambda_over_d(args.n_atoms, lam_over_d)
         rates += [continuous_limit_rate(args.n_atoms, a, k, model=model) for k in ks]
     _write_csv(args.output, "lambda_over_d,k,rate",
                np.repeat(grid, len(ks)), np.tile(ks, len(grid)), np.array(rates))
@@ -213,19 +225,10 @@ def cmd_validate(args) -> int:
     return 0 if all_passed(results) else VALIDATION_ERROR
 
 
-_COMMANDS = {
-    "coeffs": cmd_coeffs,
-    "spectrum": cmd_spectrum,
-    "sweep": cmd_sweep,
-    "validate": cmd_validate,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -13,10 +13,11 @@ pure functions of that chord:
     aligned dipoles:   x -> (3/2) [sin^2(delta) j0(x)
                                    + (3 cos^2(delta) - 1) j1(x)/x]
 
-with delta the common tilt of the dipoles out of the ring plane.  Both
-kernels equal 1 at zero separation, which fixes the matrix diagonal
-exactly.  At cos^2(delta) = 1/3 the j1 term cancels and the aligned
-kernel reduces to the scalar one.
+with delta the common tilt of the dipoles out of the ring plane.  A
+``ModelKind`` is that angle, or None for scalar light.  Both kernels
+equal 1 at zero separation, which fixes the matrix diagonal exactly.
+At cos^2(delta) = 1/3 the j1 term cancels and the aligned kernel
+reduces to the scalar one.
 
 Because the rates depend only on (j - m) mod N, the full matrix is
 circulant: ``CouplingMatrix`` stores only its first row, O(N) memory,
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _check_size_parameter
+from .specfun import _check_integer, _check_size_parameter
 
 __all__ = [
     "RingConfig",
@@ -54,13 +55,12 @@ _MAX_N_ATOMS = 10**7
 
 
 def _check_n_atoms(n_atoms) -> int:
-    if not isinstance(n_atoms, (int, np.integer)) or isinstance(n_atoms, bool):
-        raise ValueError(f"n_atoms must be an integer, got {n_atoms!r}")
+    n_atoms = _check_integer(n_atoms, "n_atoms")
     if n_atoms < 2:
         raise ValueError(f"n_atoms must be >= 2, got {n_atoms}")
     if n_atoms > _MAX_N_ATOMS:
         raise ValueError(f"n_atoms = {n_atoms} exceeds supported limit {_MAX_N_ATOMS}")
-    return int(n_atoms)
+    return n_atoms
 
 
 @dataclass(frozen=True)
@@ -91,20 +91,12 @@ class RingConfig:
 
 @dataclass(frozen=True)
 class ModelKind:
-    """Light model selector: scalar, or aligned dipoles tilted by delta."""
+    """Light model as its tilt angle: None for scalar light, else aligned dipoles."""
 
-    variant: str
     delta: float | None = None
 
     def __post_init__(self):
-        if self.variant not in ("scalar", "vectorial"):
-            raise ValueError(f"variant must be 'scalar' or 'vectorial', got {self.variant!r}")
-        if self.variant == "scalar":
-            if self.delta is not None:
-                raise ValueError("scalar model takes no tilt angle")
-        else:
-            if self.delta is None:
-                raise ValueError("vectorial model requires a tilt angle delta")
+        if self.delta is not None:
             d = float(self.delta)
             if not 0.0 <= d <= math.pi / 2:
                 raise ValueError(f"delta must lie in [0, pi/2], got {d}")
@@ -112,15 +104,17 @@ class ModelKind:
 
     @classmethod
     def scalar(cls) -> "ModelKind":
-        return cls(variant="scalar")
+        return cls()
 
     @classmethod
     def vectorial(cls, delta: float) -> "ModelKind":
-        return cls(variant="vectorial", delta=delta)
+        if delta is None:
+            raise ValueError("vectorial model requires a tilt angle delta")
+        return cls(delta)
 
     @property
     def is_vectorial(self) -> bool:
-        return self.variant == "vectorial"
+        return self.delta is not None
 
     def label(self) -> str:
         if self.is_vectorial:
@@ -211,7 +205,6 @@ def _kernel_row(config: RingConfig, model: ModelKind) -> np.ndarray:
         row = vector_gamma_kernel(seps, model.delta)
     else:
         row = scalar_gamma_kernel(seps)
-    row = np.atleast_1d(row).astype(float)
     row[0] = 1.0  # diagonal is exactly the single-emitter rate
     return row
 
@@ -229,5 +222,5 @@ def lattice_conversion(n_atoms: int, d_over_lambda: float) -> float:
     n_atoms = _check_n_atoms(n_atoms)
     d = float(d_over_lambda)
     if not math.isfinite(d) or d <= 0.0:
-        raise ValueError(f"d_over_lambda must be positive, got {d!r}")
+        raise ValueError(f"d_over_lambda must be finite and > 0, got {d!r}")
     return math.pi * d / math.sin(math.pi / n_atoms)

@@ -83,11 +83,11 @@ def _check_size_parameter(a) -> float:
     return a
 
 
-def _validate_order(order, limit):
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if abs(int(order)) > limit:
-        raise ValueError(f"|order| = {abs(int(order))} exceeds supported limit {limit}")
+def _check_integer(value, name: str) -> int:
+    """value as an int, or ValueError unless it is an int or np.integer (not bool)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _miller_sweep(x: float, top: int) -> np.ndarray:
@@ -176,15 +176,18 @@ def _coeff_closed_form(a: float, n_max: int):
 
 
 def _validate_coeff_args(n, a, method):
-    _validate_order(n, _MAX_COEFF_ORDER)
+    n = _check_integer(n, "order")
+    if abs(n) > _MAX_COEFF_ORDER:
+        raise ValueError(f"|order| = {abs(n)} exceeds supported limit {_MAX_COEFF_ORDER}")
     a = _check_size_parameter(a)
     if method not in ("quadrature", "series"):
         raise ValueError(f"method must be 'quadrature' or 'series', got {method!r}")
-    return abs(int(n)), a
+    return n, a
 
 
 def _coeff(n, a, method, moment):
     n, a = _validate_coeff_args(n, a, method)
+    n = abs(n)
     if a < _A_TINY:
         return (1.0 / (moment + 1)) if n == 0 else 0.0
     if method == "series":
@@ -257,10 +260,9 @@ def coeff_table(a: float, n_max: int, method: str = "quadrature") -> Coefficient
     either sum rule then misses by more than ``TOL_SUM`` it warns but still
     evaluates.
     """
-    _, a = _validate_coeff_args(n_max, a, method)
+    n_max, a = _validate_coeff_args(n_max, a, method)
     if n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    n_max = int(n_max)
     if a < _A_TINY:
         c = np.zeros(n_max + 1)
         c[0] = 1.0

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ring_model import ModelKind, RingConfig, coupling_matrix, lattice_conversion
-from .specfun import CoefficientTable, alias_cutoff, coeff_c, coeff_table
+from .specfun import CoefficientTable, _check_integer, alias_cutoff, coeff_c, coeff_table
 
 __all__ = [
     "DecaySpectrum",
@@ -134,9 +134,7 @@ def oracle_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
 
 def _check_mode_index(k, n_atoms: int) -> int:
     """|k| for an integer (not bool) mode index with |k| <= N/2, else ValueError."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError(f"mode index k must be an integer, got {k!r}")
-    k = abs(int(k))
+    k = abs(_check_integer(k, "mode index k"))
     if k > n_atoms / 2:
         raise ValueError(f"|k| = {k} exceeds N/2 = {n_atoms / 2}")
     return k

@@ -51,14 +51,23 @@ TAKES_DELTA = [
     ("vector_gamma_kernel", lambda d: vector_gamma_kernel(1.0, d)),
 ]
 
-# (entry, call taking the one bool argument where an integer belongs)
+# (entry, call taking the one bad spacing d/lambda)
+BAD_SPACING = [0.0, -1.0, math.nan, math.inf]
+TAKES_SPACING = [
+    ("lattice_conversion", lambda d: lattice_conversion(10, d)),
+    ("subradiant_edge", lambda d: subradiant_edge(10, d)),
+]
+
+# (entry, call taking the one non-integer where an integer belongs, the
+# argument name its refusal gives)
 TAKES_INT = [
-    ("coeff_c", lambda b: coeff_c(b, 1.0)),
-    ("coeff_d", lambda b: coeff_d(b, 1.0)),
-    ("coeff_table", lambda b: coeff_table(1.0, b)),
-    ("continuous_limit_rate", lambda b: continuous_limit_rate(10, 1.0, b)),
-    ("large_a_vector_estimate", lambda b: large_a_vector_estimate(10, 5.0, b, 0.3)),
-    ("RingConfig", lambda b: RingConfig(b, 1.0)),
+    ("coeff_c", lambda b: coeff_c(b, 1.0), "order"),
+    ("coeff_d", lambda b: coeff_d(b, 1.0), "order"),
+    ("coeff_table", lambda b: coeff_table(1.0, b), "order"),
+    ("continuous_limit_rate", lambda b: continuous_limit_rate(10, 1.0, b), "mode index k"),
+    ("large_a_vector_estimate", lambda b: large_a_vector_estimate(10, 5.0, b, 0.3),
+     "mode index k"),
+    ("RingConfig", lambda b: RingConfig(b, 1.0), "n_atoms"),
 ]
 
 # (entry, call taking the one bad mode index k); N = 10 admits |k| <= 5,
@@ -75,7 +84,7 @@ CASES = (
     + [pytest.param(call, d, id=f"{name}-delta={d}")
        for name, call in TAKES_DELTA for d in BAD_DELTA]
     + [pytest.param(call, b, id=f"{name}-int={b}")
-       for name, call in TAKES_INT for b in (True, False)]
+       for name, call, _ in TAKES_INT for b in (True, False)]
     + [pytest.param(call, k, id=f"{name}-k={k}") for name, call in TAKES_K for k in BAD_K]
 )
 
@@ -84,6 +93,24 @@ CASES = (
 def test_rejects_out_of_range(call, bad):
     with pytest.raises(ValueError):
         call(bad)
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(call, d, id=f"{name}-d_over_lambda={d}")
+    for name, call in TAKES_SPACING for d in BAD_SPACING
+])
+def test_spacing_refusal_names_the_condition(call, bad):
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    assert str(exc.value) == f"d_over_lambda must be finite and > 0, got {bad!r}"
+
+
+@pytest.mark.parametrize("call, name", [(call, arg) for _, call, arg in TAKES_INT],
+                         ids=[entry for entry, _, _ in TAKES_INT])
+def test_non_integer_refusal_names_the_argument(call, name):
+    with pytest.raises(ValueError) as exc:
+        call(2.5)
+    assert str(exc.value) == f"{name} must be an integer, got 2.5"
 
 
 @pytest.mark.parametrize("call", [call for _, call in TAKES_N],

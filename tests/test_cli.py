@@ -188,13 +188,14 @@ class TestSpectrumCommand:
         _, out2, _ = run_cli(capsys, "spectrum", "--n-atoms", "8", "--lambda-over-d", "0.05")
         assert out1 == out2
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e-320"])
     def test_nonpositive_lambda_over_d_is_usage_error(self, capsys, value):
+        # inf has spacing 0, and 1e-320 has no finite inverse
         code, out, err = run_cli(capsys, "spectrum", "--n-atoms", "10",
                                  "--lambda-over-d", value)
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error: lambda_over_d ")
 
     def test_a_above_limit_fails_on_every_path(self, capsys):
         errors = set()
@@ -308,6 +309,10 @@ class TestSweep:
         assert code == 2
         code, out, err = run_cli(capsys, "sweep", "--grid-min", "1", "--grid-max", "inf")
         assert (code, out, err) == (2, "", "error: grid must satisfy 0 < grid-min < grid-max\n")
+        code, out, err = run_cli(capsys, "sweep", "--grid-min", "1e-320", "--grid-max", "1",
+                                 "--grid-points", "2")
+        assert (code, out, err) == (2, "", "error: lambda_over_d and its inverse must be "
+                                           "finite and > 0, got 1e-320\n")
 
     def test_tilt_angle_needs_vector_model(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--delta", "0.3", "--grid-points", "2")
@@ -396,6 +401,13 @@ class TestValidate:
         )
         assert proc.returncode == 1, proc.stderr
         assert "max |Δ|" in report.read_bytes().decode("utf-8")
+
+
+def test_missing_subcommand_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert "the following arguments are required: command" in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -54,18 +54,16 @@ class TestModelKind:
     def test_constructors(self):
         assert not ModelKind.scalar().is_vectorial
         assert ModelKind.vectorial(0.3).delta == 0.3
+        assert ModelKind() == ModelKind.scalar()
+        assert ModelKind(0.0).is_vectorial  # delta = 0 is the in-plane dipole model
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ModelKind(variant="scalar", delta=0.1)
-        with pytest.raises(ValueError):
-            ModelKind(variant="vectorial")
+            ModelKind.vectorial(None)
         with pytest.raises(ValueError):
             ModelKind.vectorial(-0.1)
         with pytest.raises(ValueError):
             ModelKind.vectorial(math.pi / 2 + 0.01)
-        with pytest.raises(ValueError):
-            ModelKind(variant="tensor")
 
 
 class TestChord:

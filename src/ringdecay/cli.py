@@ -35,6 +35,10 @@ USAGE_ERROR = 2
 VALIDATION_ERROR = 1
 
 
+# Largest sweep grid: each point builds one coefficient table, so the
+# ceiling bounds the run time (see the README for measured times).
+_MAX_GRID_POINTS = 10**4
+
 # Rows per ``%`` call: bounds the writer's Python objects, whatever the row count.
 _BLOCK_ROWS = 4096
 
@@ -206,6 +210,9 @@ def cmd_sweep(args) -> int:
         raise ValueError("grid must satisfy 0 < grid-min < grid-max")
     if args.grid_points < 2:
         raise ValueError("grid-points must be at least 2")
+    if args.grid_points > _MAX_GRID_POINTS:
+        raise ValueError(f"grid-points = {args.grid_points} exceeds supported limit "
+                         f"{_MAX_GRID_POINTS}")
     ks = _parse_k_list(args.k)
     model = _model_from_args(args)
     grid = np.logspace(math.log10(args.grid_min), math.log10(args.grid_max),

@@ -20,8 +20,8 @@ At cos^2(delta) = 1/3 the j1 term cancels and the aligned kernel
 reduces to the scalar one.
 
 Because the rates depend only on (j - m) mod N, the full matrix is
-circulant: ``CouplingMatrix`` stores only its first row, O(N) memory,
-and builds the dense N x N array on demand.
+circulant: ``coupling_matrix`` returns its generating first row, O(N)
+memory, with entry (j, m) equal to row[(m - j) mod N].
 
 ``RingConfig`` and ``ModelKind`` are the argument boundary: every public
 function that takes an atom count, a size parameter or a tilt angle
@@ -40,7 +40,6 @@ from .specfun import _check_integer, _check_size_parameter
 __all__ = [
     "RingConfig",
     "ModelKind",
-    "CouplingMatrix",
     "chord",
     "scalar_gamma_kernel",
     "vector_gamma_kernel",
@@ -176,26 +175,11 @@ def vector_gamma_kernel(x, delta: float):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Circulant decay matrix in units of the linewidth.
+def coupling_matrix(config: RingConfig, model: ModelKind) -> np.ndarray:
+    """The N x N decay matrix as its generating first row.
 
-    ``first_row`` generates the matrix and is the only data held;
-    ``entries`` builds the replicated N x N array on demand, at 8 N^2
-    bytes per read, for inspection.
+    Entry (j, m) of the circulant matrix is row[(m - j) mod N].
     """
-
-    n_atoms: int
-    first_row: np.ndarray
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Dense matrix, entries[j, m] = first_row[(m - j) mod N]."""
-        n = self.n_atoms
-        return self.first_row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
-
-
-def _kernel_row(config: RingConfig, model: ModelKind) -> np.ndarray:
     n = config.n_atoms
     s = np.arange(n)
     # fold to min(s, N-s): keeps the row exactly palindromic, so the
@@ -209,11 +193,6 @@ def _kernel_row(config: RingConfig, model: ModelKind) -> np.ndarray:
     return row
 
 
-def coupling_matrix(config: RingConfig, model: ModelKind) -> CouplingMatrix:
-    """The N x N decay matrix, held as its generating first row."""
-    return CouplingMatrix(n_atoms=config.n_atoms, first_row=_kernel_row(config, model))
-
-
 def lattice_conversion(n_atoms: int, d_over_lambda: float) -> float:
     """Size parameter a for a given nearest-neighbour spacing d/lambda.
 
@@ -223,4 +202,7 @@ def lattice_conversion(n_atoms: int, d_over_lambda: float) -> float:
     d = float(d_over_lambda)
     if not math.isfinite(d) or d <= 0.0:
         raise ValueError(f"d_over_lambda must be finite and > 0, got {d!r}")
-    return math.pi * d / math.sin(math.pi / n_atoms)
+    a = math.pi * d / math.sin(math.pi / n_atoms)
+    if not math.isfinite(a):
+        raise ValueError(f"d_over_lambda = {d!r} overflows the size parameter a")
+    return a

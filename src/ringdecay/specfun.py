@@ -269,8 +269,10 @@ def coeff_table(a: float, n_max: int, method: str = "quadrature") -> Coefficient
         d = np.zeros(n_max + 1)
         d[0] = 1.0 / 3.0
     elif method == "series":
-        c = np.array([_coeff(n, a, "series", 0) for n in range(n_max + 1)])
-        d = np.array([_coeff(n, a, "series", 2) for n in range(n_max + 1)])
+        if not series_admitted(0, a):  # admission only widens as |n| grows
+            raise ValueError("series unstable, use quadrature")
+        c = np.array([_coeff_series(n, a, 0) for n in range(n_max + 1)])
+        d = np.array([_coeff_series(n, a, 2) for n in range(n_max + 1)])
     else:
         c, d = _coeff_closed_form(a, n_max)
     table = CoefficientTable(a=a, n_max=n_max, c=c, d=d, method=method)

@@ -114,11 +114,11 @@ def oracle_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
     """Spectrum from the discrete Fourier transform of the kernel row.
 
     This is the definitional double sum reduced by circulant structure,
-    in O(N) memory since the matrix is held as its first row; it never
-    touches the coefficient machinery, which is what makes it an
-    independent check of ``analytic_spectrum``.
+    in O(N) memory since ``coupling_matrix`` returns the matrix as its
+    first row; it never touches the coefficient machinery, which is what
+    makes it an independent check of ``analytic_spectrum``.
     """
-    transform = np.fft.fft(coupling_matrix(config, model).first_row)
+    transform = np.fft.fft(coupling_matrix(config, model))
     residue = float(np.max(np.abs(transform.imag)))
     if residue > _ORACLE_IMAG_LIMIT:
         raise RuntimeError(

@@ -105,6 +105,13 @@ def test_spacing_refusal_names_the_condition(call, bad):
     assert str(exc.value) == f"d_over_lambda must be finite and > 0, got {bad!r}"
 
 
+def test_spacing_overflow_names_the_spacing():
+    # pi d / sin(pi / N) overflows to inf; a finite d/lambda is still the input at fault
+    with pytest.raises(ValueError) as exc:
+        lattice_conversion(10**7, 1e308)
+    assert str(exc.value) == "d_over_lambda = 1e+308 overflows the size parameter a"
+
+
 @pytest.mark.parametrize("call, name", [(call, arg) for _, call, arg in TAKES_INT],
                          ids=[entry for entry, _, _ in TAKES_INT])
 def test_non_integer_refusal_names_the_argument(call, name):

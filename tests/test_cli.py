@@ -207,6 +207,17 @@ class TestSpectrumCommand:
             errors.add(err)
         assert errors == {"error: a = 1000000.0 exceeds supported limit 10000.0\n"}
 
+    def test_spacing_overflow_names_the_spacing(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--n-atoms", "10000000",
+                                 "--d-over-lambda", "1e308")
+        assert (code, out, err) == (2, "", "error: d_over_lambda = 1e+308 overflows the "
+                                           "size parameter a\n")
+        # a finite a above the ceiling keeps RingConfig's refusal
+        code, out, err = run_cli(capsys, "spectrum", "--n-atoms", "2",
+                                 "--d-over-lambda", "1e300")
+        assert (code, out, err) == (2, "", "error: a = 3.141592653589793e+300 exceeds "
+                                           "supported limit 10000.0\n")
+
     def test_n_above_ceiling_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--n-atoms", str(10**15), "--a", "1",
                                  "--path", "both")
@@ -313,6 +324,16 @@ class TestSweep:
                                  "--grid-points", "2")
         assert (code, out, err) == (2, "", "error: lambda_over_d and its inverse must be "
                                            "finite and > 0, got 1e-320\n")
+        code, out, err = run_cli(capsys, "sweep", "--n-atoms", "10000000",
+                                 "--grid-min", "1e-308", "--grid-max", "1e-307",
+                                 "--grid-points", "2")
+        assert (code, out, err) == (2, "", "error: d_over_lambda = 1e+308 overflows the "
+                                           "size parameter a\n")
+        # the ceiling is refused before the grid is allocated
+        for points in (10001, 10**12):
+            code, out, err = run_cli(capsys, "sweep", "--grid-points", str(points))
+            assert (code, out, err) == (2, "", f"error: grid-points = {points} exceeds "
+                                               "supported limit 10000\n")
 
     def test_tilt_angle_needs_vector_model(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--delta", "0.3", "--grid-points", "2")

@@ -148,47 +148,81 @@ class TestVectorKernel:
             vector_gamma_kernel(1.0, 2.0)
 
 
+def dense(row):
+    """The circulant matrix generated by ``row``: entry (j, m) is row[(m - j) mod N]."""
+    n = len(row)
+    return row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+
+
+# the model grid of the acceptance suite
+GRID_MODELS = (
+    ModelKind.scalar(),
+    ModelKind.vectorial(0.0),
+    ModelKind.vectorial(math.pi / 4),
+    ModelKind.vectorial(math.pi / 2),
+)
+
+
 class TestCouplingMatrix:
+    @pytest.mark.parametrize("n", [2, 3, 8, 9])
+    @pytest.mark.parametrize("model", GRID_MODELS, ids=lambda m: m.label())
+    def test_returns_the_generating_row(self, n, model):
+        for a in (0.0, 0.4, 3.7, 50.0):
+            config = RingConfig(n, a)
+            row = coupling_matrix(config, model)
+            assert isinstance(row, np.ndarray)
+            assert (row.ndim, row.dtype, len(row)) == (1, np.float64, n)
+            assert row[0] == 1.0
+            assert np.array_equal(row[1:], row[:0:-1])  # palindrome: symmetric matrix
+            for m in range(1, n):
+                x = chord(config, 1, m + 1)
+                if model.is_vectorial:
+                    expect = vector_gamma_kernel(x, model.delta)
+                else:
+                    expect = scalar_gamma_kernel(x)
+                assert row[m] == pytest.approx(expect, abs=1e-14)
+
     def test_two_atoms_dicke(self):
-        mat = coupling_matrix(RingConfig(2, 1e-12), ModelKind.scalar())
-        assert np.allclose(mat.entries, np.ones((2, 2)), atol=1e-12)
+        mat = dense(coupling_matrix(RingConfig(2, 1e-12), ModelKind.scalar()))
+        assert np.allclose(mat, np.ones((2, 2)), atol=1e-12)
 
     def test_equilateral_offdiagonals(self):
-        mat = coupling_matrix(RingConfig(3, 1.0), ModelKind.scalar())
+        mat = dense(coupling_matrix(RingConfig(3, 1.0), ModelKind.scalar()))
         expect = math.sin(math.sqrt(3.0)) / math.sqrt(3.0)
-        off = mat.entries[~np.eye(3, dtype=bool)]
+        off = mat[~np.eye(3, dtype=bool)]
         assert np.max(np.abs(off - expect)) < 1e-15
 
     def test_vector_entries_recomputed(self):
         # entrywise oracle: direct kernel evaluation at every chord
         config = RingConfig(4, 2.0)
         model = ModelKind.vectorial(0.0)
-        mat = coupling_matrix(config, model)
+        mat = dense(coupling_matrix(config, model))
         for j in range(1, 5):
             for m in range(1, 5):
                 x = chord(config, j, m)
                 expect = 1.0 if j == m else vector_gamma_kernel(x, 0.0)
-                assert mat.entries[j - 1, m - 1] == pytest.approx(expect, abs=1e-14)
+                assert mat[j - 1, m - 1] == pytest.approx(expect, abs=1e-14)
 
     @pytest.mark.parametrize("n,a", [(2, 0.5), (5, 1.0), (8, 3.7), (16, 20.0), (33, 50.0)])
     @pytest.mark.parametrize("model", [ModelKind.scalar(), ModelKind.vectorial(0.6)])
     def test_circulant_and_symmetric(self, n, a, model):
-        mat = coupling_matrix(RingConfig(n, a), model)
-        assert np.array_equal(mat.entries, mat.entries.T)
-        rolled = np.roll(np.roll(mat.entries, 1, axis=0), 1, axis=1)
-        assert np.array_equal(mat.entries, rolled)
-        assert np.array_equal(mat.entries[0], mat.first_row)
+        row = coupling_matrix(RingConfig(n, a), model)
+        mat = dense(row)
+        assert np.array_equal(mat, mat.T)
+        rolled = np.roll(np.roll(mat, 1, axis=0), 1, axis=1)
+        assert np.array_equal(mat, rolled)
+        assert np.array_equal(mat[0], row)
 
     @pytest.mark.parametrize("a", [0.0, 0.4, 7.0, 100.0])
     def test_diagonal_exact(self, a):
         for model in (ModelKind.scalar(), ModelKind.vectorial(1.1)):
-            mat = coupling_matrix(RingConfig(9, a), model)
-            assert np.all(np.diag(mat.entries) == 1.0)
+            mat = dense(coupling_matrix(RingConfig(9, a), model))
+            assert np.all(np.diag(mat) == 1.0)
 
     def test_magic_angle_matrix(self):
         config = RingConfig(12, 8.5)
-        vec = coupling_matrix(config, ModelKind.vectorial(MAGIC_DELTA)).entries
-        sca = coupling_matrix(config, ModelKind.scalar()).entries
+        vec = dense(coupling_matrix(config, ModelKind.vectorial(MAGIC_DELTA)))
+        sca = dense(coupling_matrix(config, ModelKind.scalar()))
         assert np.max(np.abs(vec - sca)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 7, 16, 64])
@@ -198,8 +232,8 @@ class TestCouplingMatrix:
             ModelKind.vectorial(d) for d in (0.0, math.pi / 4, math.pi / 2)
         ]
         for model in models:
-            mat = coupling_matrix(RingConfig(n, a), model)
-            eigs = np.fft.fft(mat.first_row).real
+            row = coupling_matrix(RingConfig(n, a), model)
+            eigs = np.fft.fft(row).real
             assert eigs.min() >= -1e-10
 
 

@@ -181,7 +181,7 @@ def cmd_spectrum(args) -> int:
               "both": (analytic_spectrum, oracle_spectrum)}[args.path]
     spectra = [route(config, model) for route in routes]
     ks = spectra[0].signed_indices()
-    columns = [spec.rates[ks % config.n_atoms] for spec in spectra]
+    columns = [np.roll(spec.rates, config.n_atoms // 2) for spec in spectra]
     if len(columns) == 1:
         _write_csv(args.output, "k,rate", ks, *columns)
         return 0

@@ -220,7 +220,6 @@ class CoefficientTable:
     n_max: int
     c: np.ndarray
     d: np.ndarray
-    method: str
 
     def c_at(self, n: int) -> float:
         return float(self.c[abs(n)])
@@ -275,7 +274,7 @@ def coeff_table(a: float, n_max: int, method: str = "quadrature") -> Coefficient
         d = np.array([_coeff_series(n, a, 2) for n in range(n_max + 1)])
     else:
         c, d = _coeff_closed_form(a, n_max)
-    table = CoefficientTable(a=a, n_max=n_max, c=c, d=d, method=method)
+    table = CoefficientTable(a=a, n_max=n_max, c=c, d=d)
     cutoff = alias_cutoff(a)
     if n_max < cutoff:
         miss_c = table.c_sum() - 1.0

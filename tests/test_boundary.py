@@ -112,6 +112,29 @@ def test_spacing_overflow_names_the_spacing():
     assert str(exc.value) == "d_over_lambda = 1e+308 overflows the size parameter a"
 
 
+@pytest.mark.parametrize("call", [call for _, call in TAKES_SPACING],
+                         ids=[name for name, _ in TAKES_SPACING])
+def test_spacing_above_size_limit_names_the_spacing(call):
+    # a finite a above 1e4 is still the spacing's fault, not an --a nobody gave
+    a = math.pi * 1e4 / math.sin(math.pi / 10)
+    with pytest.raises(ValueError) as exc:
+        call(1e4)
+    assert str(exc.value) == (f"d_over_lambda = 10000.0 puts the size parameter a = {a!r} "
+                              f"above its supported limit 10000.0")
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: continuous_limit_rate(10**6, 1.0, k),
+    lambda k: large_a_vector_estimate(10**6, 50.0, k, 0.3),
+], ids=["continuous_limit_rate", "large_a_vector_estimate"])
+@pytest.mark.parametrize("k", [300000, -100001])
+def test_mode_index_above_order_limit_names_k(call, k):
+    # admitted by |k| <= N/2, but c_|k| is past the coefficient order limit 1e5
+    with pytest.raises(ValueError) as exc:
+        call(k)
+    assert str(exc.value) == f"mode index |k| = {abs(k)} exceeds supported limit 100000"
+
+
 @pytest.mark.parametrize("call, name", [(call, arg) for _, call, arg in TAKES_INT],
                          ids=[entry for entry, _, _ in TAKES_INT])
 def test_non_integer_refusal_names_the_argument(call, name):

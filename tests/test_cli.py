@@ -212,10 +212,19 @@ class TestSpectrumCommand:
                                  "--d-over-lambda", "1e308")
         assert (code, out, err) == (2, "", "error: d_over_lambda = 1e+308 overflows the "
                                            "size parameter a\n")
-        # a finite a above the ceiling keeps RingConfig's refusal
+        # a finite a above the ceiling also names the spacing, not an --a nobody gave
         code, out, err = run_cli(capsys, "spectrum", "--n-atoms", "2",
                                  "--d-over-lambda", "1e300")
-        assert (code, out, err) == (2, "", "error: a = 3.141592653589793e+300 exceeds "
+        assert (code, out, err) == (2, "", "error: d_over_lambda = 1e+300 puts the size "
+                                           "parameter a = 3.141592653589793e+300 above its "
+                                           "supported limit 10000.0\n")
+
+    @pytest.mark.parametrize("geometry", [("--d-over-lambda", "100"),
+                                          ("--lambda-over-d", "0.01")])
+    def test_spacing_above_size_limit_names_the_spacing(self, capsys, geometry):
+        code, out, err = run_cli(capsys, "spectrum", "--n-atoms", "400", *geometry)
+        assert (code, out, err) == (2, "", "error: d_over_lambda = 100.0 puts the size "
+                                           "parameter a = 40000.41123647621 above its "
                                            "supported limit 10000.0\n")
 
     def test_n_above_ceiling_is_usage_error(self, capsys):
@@ -313,6 +322,14 @@ class TestSweep:
         assert out == ""
         assert err == "error: mode index 1 is repeated in '1,1,0'\n"
 
+    def test_mode_index_above_order_limit_is_usage_error(self, capsys):
+        # |k| <= N/2 admits it, but c_|k| lies past the coefficient order limit
+        code, out, err = run_cli(capsys, "sweep", "--n-atoms", "1000000", "--k", "300000",
+                                 "--grid-min", "999", "--grid-max", "1000",
+                                 "--grid-points", "2")
+        assert (code, out, err) == (2, "", "error: mode index |k| = 300000 exceeds "
+                                           "supported limit 100000\n")
+
     def test_invalid_grid(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--grid-min", "2", "--grid-max", "1")
         assert code == 2
@@ -329,6 +346,10 @@ class TestSweep:
                                  "--grid-points", "2")
         assert (code, out, err) == (2, "", "error: d_over_lambda = 1e+308 overflows the "
                                            "size parameter a\n")
+        code, out, err = run_cli(capsys, "sweep", "--n-atoms", "400", "--grid-min", "0.001")
+        assert (code, out, err) == (2, "", "error: d_over_lambda = 1000.0 puts the size "
+                                           "parameter a = 400004.11236476206 above its "
+                                           "supported limit 10000.0\n")
         # the ceiling is refused before the grid is allocated
         for points in (10001, 10**12):
             code, out, err = run_cli(capsys, "sweep", "--grid-points", str(points))

@@ -108,6 +108,23 @@ class TestLargeA:
         assert abs(orc.trace() - n) < 1e-9
 
 
+class TestLargeN:
+    # Past the N <= 40 grid the absolute rules (trace within 1e-9, rates above
+    # -1e-10) sit below the rounding floor: ulp(1e7) is 1.86e-9.  The bounds
+    # that hold are in its units.  Measured at N in {2^20, 2^22, 1e7} and
+    # a in {1e-3, 0.5, 1e4}, scalar and vector (delta = 1): traces within 3 ulp(N),
+    # oracle rates above -0.25 eps N, analytic rates never below 0 (see the README).
+    def test_both_routes_at_five_million(self):
+        n = 5_000_000
+        config = RingConfig(n, 0.5)
+        ana = analytic_spectrum(config, ModelKind.scalar())
+        orc = oracle_spectrum(config, ModelKind.scalar())
+        assert np.max(np.abs(ana.rates - orc.rates)) < 1e-8
+        for spec in (ana, orc):
+            assert abs(spec.trace() - n) <= 4 * math.ulp(n)
+            assert spec.rates.min() >= -0.5 * np.finfo(float).eps * n
+
+
 def _looped_rates(n, a, model):
     # per-mode reference fold: exact fsum over the aliases k - m N
     n_cut = alias_cutoff(a)

@@ -78,7 +78,8 @@ class RingConfig:
         object.__setattr__(self, "size_parameter", _check_size_parameter(self.size_parameter))
 
     def angle(self, j: int) -> float:
-        """Angular position of atom j (1-based)."""
+        """Angular position of atom j (1-based): ValueError unless j is an integer."""
+        j = _check_integer(j, "atom index")
         if not 1 <= j <= self.n_atoms:
             raise IndexError(f"atom index {j} outside 1..{self.n_atoms}")
         return 2.0 * math.pi * (j - 1) / self.n_atoms
@@ -124,15 +125,9 @@ class ModelKind:
 def chord(config: RingConfig, j: int, m: int) -> float:
     """Dimensionless chord separation between atoms j and m (1-based).
 
-    Zero iff j == m; maximal (2a) at antipodal positions.
+    0.0 at j == m; maximal (2a) at antipodal positions.  ``config.angle``
+    checks both indices, j first.
     """
-    n = config.n_atoms
-    if not 1 <= j <= n:
-        raise IndexError(f"atom index {j} outside 1..{n}")
-    if not 1 <= m <= n:
-        raise IndexError(f"atom index {m} outside 1..{n}")
-    if j == m:
-        return 0.0
     half = abs(config.angle(j) - config.angle(m)) / 2.0
     return 2.0 * config.size_parameter * math.sin(half)
 
@@ -151,7 +146,8 @@ def scalar_gamma_kernel(x):
 _J1X_COEFFS = (1.0 / 3.0, -1.0 / 30.0, 1.0 / 840.0, -1.0 / 45360.0, 1.0 / 3991680.0)
 
 
-def _j1_over_x(x: np.ndarray) -> np.ndarray:
+def _j1_over_x(x: np.ndarray, sinc: np.ndarray) -> np.ndarray:
+    """j1(x)/x, given sinc = sin(x)/x at the same x."""
     small = x < 0.1
     xs = np.where(small, x, 1.0)  # placeholder keeps the large branch finite
     x2 = xs * xs
@@ -159,7 +155,7 @@ def _j1_over_x(x: np.ndarray) -> np.ndarray:
     for c in reversed(_J1X_COEFFS[:4]):
         series = series * x2 + c
     xl = np.where(small, 1.0, x)
-    direct = (np.sinc(xl / np.pi) - np.cos(xl)) / (xl * xl)
+    direct = (sinc - np.cos(xl)) / (xl * xl)
     return np.where(small, series, direct)
 
 
@@ -171,7 +167,8 @@ def vector_gamma_kernel(x, delta: float):
         raise ValueError("separation must be finite")
     sin2 = math.sin(delta) ** 2
     cos2 = math.cos(delta) ** 2
-    out = 1.5 * (sin2 * np.sinc(x / np.pi) + (3.0 * cos2 - 1.0) * _j1_over_x(x))
+    sinc = np.sinc(x / np.pi)
+    out = 1.5 * (sin2 * sinc + (3.0 * cos2 - 1.0) * _j1_over_x(x, sinc))
     return float(out) if out.ndim == 0 else out
 
 

@@ -125,11 +125,11 @@ def _miller_sweep(x: float, top: int) -> np.ndarray:
 def series_admitted(n: int, a: float) -> bool:
     """Whether the alternating series for c_n/d_n keeps full precision.
 
-    Admission bound: a^2 < 0.5*(2|n| + 20) + 30.  Beyond it the largest
-    series term outgrows the result by more than ~1e15 and the sum is
-    cancellation noise.
+    Admission bound: a^2 < |n| + 40.  Beyond it the largest series term
+    outgrows the result by more than ~1e15 and the sum is cancellation
+    noise.
     """
-    return a * a < 0.5 * (2 * abs(n) + 20) + 30.0
+    return a * a < abs(n) + 40
 
 
 def _coeff_series(n: int, a: float, moment: int) -> float:
@@ -213,7 +213,7 @@ class CoefficientTable:
     """c_n(a) and d_n(a) for n = 0..n_max.
 
     Only n >= 0 is stored; both families are even in n, so negative
-    lookups reflect to |n|.
+    lookups reflect to |n|.  A lookup order must be an integer.
     """
 
     a: float
@@ -222,10 +222,10 @@ class CoefficientTable:
     d: np.ndarray
 
     def c_at(self, n: int) -> float:
-        return float(self.c[abs(n)])
+        return float(self.c[abs(_check_integer(n, "order"))])
 
     def d_at(self, n: int) -> float:
-        return float(self.d[abs(n)])
+        return float(self.d[abs(_check_integer(n, "order"))])
 
     def c_sum(self) -> float:
         """c_0 + 2 sum_{n>=1} c_n; closes on 1 once n_max clears the cutoff."""

@@ -62,7 +62,8 @@ class DecaySpectrum:
 
     Rates sit at canonical mode indices k = 0..N-1; mode k and mode N-k
     are the same standing-wave pair, so the spectrum is symmetric under
-    k -> N-k.  ``rate`` accepts any signed index and folds it modulo N.
+    k -> N-k.  ``rate`` accepts any signed integer index and folds it
+    modulo N.
     """
 
     n_atoms: int
@@ -71,7 +72,7 @@ class DecaySpectrum:
     rates: np.ndarray
 
     def rate(self, k: int) -> float:
-        return float(self.rates[k % self.n_atoms])
+        return float(self.rates[_check_integer(k, "mode index k") % self.n_atoms])
 
     def signed_indices(self) -> np.ndarray:
         """Signed mode labels -floor(N/2) .. ceil(N/2)-1, one per mode."""
@@ -116,12 +117,13 @@ def oracle_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
     This is the definitional double sum reduced by circulant structure,
     in O(N) memory since ``coupling_matrix`` returns the matrix as its
     first row.  That row is real and even, so its transform is the real
-    transform of the N//2 + 1 distinct separations (``np.fft.hfft``).
-    It never touches the coefficient machinery, which is what makes it
-    an independent check of ``analytic_spectrum``.
+    transform of its distinct separations: ``np.fft.hfft(row, N)`` reads
+    only the first N//2 + 1 entries.  It never touches the coefficient
+    machinery, which is what makes it an independent check of
+    ``analytic_spectrum``.
     """
     n = config.n_atoms
-    rates = np.fft.hfft(coupling_matrix(config, model)[: n // 2 + 1], n)
+    rates = np.fft.hfft(coupling_matrix(config, model), n)
     return DecaySpectrum(n_atoms=n, size_parameter=config.size_parameter, model=model, rates=rates)
 
 
@@ -170,13 +172,17 @@ def subradiant_edge(n_atoms: int, d_over_lambda: float) -> SubradiantEdge:
 
     The exponential estimate (2 pi N)^(-1/2) (e d/lambda)^N captures the
     suppression only as d/lambda -> 0; at moderate spacing it decays
-    slower than the exact rate (see the validation report).
+    slower than the exact rate (see the validation report).  The edge
+    order N/2 is a coefficient order, so N is at most 2e5.
     """
     a_ring = lattice_conversion(n_atoms, d_over_lambda)
     if n_atoms % 2:
         raise ValueError("edge mode is defined for an even atom count only")
     d = float(d_over_lambda)
     half = n_atoms // 2
+    if half > _MAX_COEFF_ORDER:
+        raise ValueError(f"n_atoms = {n_atoms} puts the edge mode N/2 = {half} above the "
+                         f"coefficient order limit {_MAX_COEFF_ORDER}")
     exact = n_atoms * coeff_c(half, n_atoms * d)
     asymptotic = (math.e * d) ** n_atoms / math.sqrt(2.0 * math.pi * n_atoms)
     exact_ring = n_atoms * coeff_c(half, a_ring)

@@ -59,22 +59,14 @@ class CheckResult:
         )
 
 
-def _worst(pairs) -> tuple[float, str]:
-    """Largest value of (value, label) pairs and its label.
+def _check(name: str, requirement: str, tolerance: float, pairs) -> CheckResult:
+    """Reduce (value, label) pairs to their largest value and its label.
 
     Starts from (0.0, ""), so a check that never exceeds 0 reports no
     label, and only a strictly larger value moves the label: on a tie the
     first pair in grid order wins.
     """
-    worst, where = 0.0, ""
-    for value, label in pairs:
-        if value > worst:
-            worst, where = value, label
-    return worst, where
-
-
-def _check(name: str, requirement: str, tolerance: float, pairs) -> CheckResult:
-    measured, where = _worst(pairs)
+    measured, where = max([(0.0, ""), *pairs], key=lambda pair: pair[0])
     return CheckResult(name, requirement, measured, tolerance, where)
 
 

@@ -17,6 +17,8 @@ from ringdecay import (
     ModelKind,
     RingConfig,
     alias_cutoff,
+    analytic_spectrum,
+    chord,
     coeff_c,
     coeff_d,
     coeff_table,
@@ -68,6 +70,13 @@ TAKES_INT = [
     ("large_a_vector_estimate", lambda b: large_a_vector_estimate(10, 5.0, b, 0.3),
      "mode index k"),
     ("RingConfig", lambda b: RingConfig(b, 1.0), "n_atoms"),
+    ("RingConfig.angle", lambda b: RingConfig(6, 2.0).angle(b), "atom index"),
+    ("chord", lambda b: chord(RingConfig(6, 2.0), b, 2), "atom index"),
+    ("DecaySpectrum.rate",
+     lambda b: analytic_spectrum(RingConfig(6, 2.0), ModelKind.scalar()).rate(b),
+     "mode index k"),
+    ("CoefficientTable.c_at", lambda b: coeff_table(1.0, 50).c_at(b), "order"),
+    ("CoefficientTable.d_at", lambda b: coeff_table(1.0, 50).d_at(b), "order"),
 ]
 
 # (entry, call taking the one bad mode index k); N = 10 admits |k| <= 5,
@@ -133,6 +142,15 @@ def test_mode_index_above_order_limit_names_k(call, k):
     with pytest.raises(ValueError) as exc:
         call(k)
     assert str(exc.value) == f"mode index |k| = {abs(k)} exceeds supported limit 100000"
+
+
+@pytest.mark.parametrize("n", [200002, 10**6])
+def test_edge_order_above_limit_names_n_atoms(n):
+    # the edge mode evaluates c_{N/2}; N/2 past 1e5 is N's fault, not an order's
+    with pytest.raises(ValueError) as exc:
+        subradiant_edge(n, 0.001)
+    assert str(exc.value) == (f"n_atoms = {n} puts the edge mode N/2 = {n // 2} above the "
+                              f"coefficient order limit 100000")
 
 
 @pytest.mark.parametrize("call, name", [(call, arg) for _, call, arg in TAKES_INT],

@@ -316,6 +316,11 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--k", "0,x")
         assert code == 2
 
+    @pytest.mark.parametrize("k_option", ["--k=,", "--k= "])
+    def test_empty_k_list_is_usage_error(self, capsys, k_option):
+        code, out, err = run_cli(capsys, "sweep", k_option)
+        assert (code, out, err) == (2, "", "error: mode list is empty\n")
+
     def test_repeated_k_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--k", "1,1,0", "--grid-points", "2")
         assert code == 2

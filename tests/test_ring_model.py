@@ -109,6 +109,14 @@ class TestScalarKernels:
         x = np.linspace(0.0, 300.0, 4001)
         assert np.all(np.abs(scalar_gamma_kernel(x)) <= 1.0)
 
+    @pytest.mark.parametrize("kernel", [scalar_gamma_kernel,
+                                        lambda x: vector_gamma_kernel(x, 0.3)],
+                             ids=["scalar", "vector"])
+    @pytest.mark.parametrize("x", [math.nan, [1.0, math.inf]], ids=["nan", "inf"])
+    def test_refuses_non_finite_separation(self, kernel, x):
+        with pytest.raises(ValueError, match="^separation must be finite$"):
+            kernel(x)
+
 
 class TestVectorKernel:
     def test_unit_at_origin_any_delta(self):

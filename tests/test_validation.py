@@ -3,7 +3,7 @@
 import math
 
 from ringdecay import coeff_c, coeff_d, coeff_table, series_admitted, validation
-from ringdecay.validation import CheckResult, _check_methods, _worst, format_report, run_checks
+from ringdecay.validation import CheckResult, _check, _check_methods, format_report, run_checks
 
 # (name, requirement, tolerance), in report order
 CHECKS = [
@@ -41,6 +41,20 @@ def test_slope_note_only_when_slope_check_fails():
     assert not [line for line in lines if line.startswith("note:")]
     slope_failed = format_report([CheckResult("subradiant-slope", "slope within 5%", 1.0, 0.05)])
     assert "\nnote: the subradiant-slope check" in slope_failed
+
+
+def test_all_passed_report_has_no_failed_line():
+    results = [CheckResult("oracle-equivalence", "max |Δ| < 1e-8", 0.0, 1e-8),
+               CheckResult("c-sum-rule", "|c_0 + 2 sum c_n - 1| < 1e-9", 1e-12, 1e-9)]
+    report = format_report(results)
+    assert report.endswith("\nall 2 checks passed")
+    assert "failed" not in report
+
+
+def _worst(pairs):
+    """(measured, worst case) of a check reducing ``pairs``."""
+    result = _check("check", "requirement", 1.0, pairs)
+    return result.measured, result.worst_case
 
 
 class TestWorst:

@@ -51,20 +51,14 @@ def test_all_passed_report_has_no_failed_line():
     assert "failed" not in report
 
 
-def _worst(pairs):
-    """(measured, worst case) of a check reducing ``pairs``."""
-    result = _check("check", "requirement", 1.0, pairs)
-    return result.measured, result.worst_case
-
-
 class TestWorst:
     def test_all_zeros_give_no_label(self):
-        assert _worst([(0.0, "(a)"), (0.0, "(b)")]) == (0.0, "")
-        assert _worst([]) == (0.0, "")
+        assert _check("c", "r", 1.0, [(0.0, "(a)"), (0.0, "(b)")]) == CheckResult("c", "r", 0.0, 1.0)
+        assert _check("c", "r", 1.0, []) == CheckResult("c", "r", 0.0, 1.0)
 
     def test_first_label_wins_a_tie(self):
         pairs = [(1.0, "(a)"), (2.0, "(b)"), (2.0, "(c)"), (0.5, "(d)")]
-        assert _worst(pairs) == (2.0, "(b)")
+        assert _check("c", "r", 1.0, pairs) == CheckResult("c", "r", 2.0, 1.0, "(b)")
 
 
 def test_method_check_reads_one_table_per_a(monkeypatch):
@@ -95,5 +89,5 @@ def test_method_check_reads_one_table_per_a(monkeypatch):
                 dc = abs(coeff_c(n, table.a, "series") - float(table.c[n]))
                 dd = abs(coeff_d(n, table.a, "series") - float(table.d[n]))
                 pairs.append((max(dc, dd), f"(n={n}, a={table.a})"))
-    assert (result.measured, result.worst_case) == _worst(pairs)
+    assert result == _check(result.name, result.requirement, result.tolerance, pairs)
     assert result.passed

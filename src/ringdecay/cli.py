@@ -13,13 +13,15 @@ and float cells in ``%.17g`` (the bytes of ``str`` and of
 are formatted and written in blocks of ``_BLOCK_ROWS``, so the writer's
 own memory does not grow with the row count.  Identical command lines
 produce byte-identical files; ``validate`` writes a text report.  Exit codes:
-0 success, 1 validation failure, 2 usage error.
+0 success, 1 validation failure, 2 usage error (an ``--output`` that cannot
+be opened included), 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 from itertools import chain
@@ -33,6 +35,7 @@ from .validation import all_passed, format_report, run_checks
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
+BROKEN_PIPE = 141  # 128 + SIGPIPE, the code of a shell pipeline's killed writer
 
 
 # Largest sweep grid: each point builds one coefficient table, so the
@@ -48,7 +51,11 @@ def _write(path: str, chunks) -> None:
     if path == "stdout":
         sys.stdout.writelines(chunks)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+        with fh:
             fh.writelines(chunks)
 
 
@@ -235,10 +242,17 @@ def cmd_validate(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the recipe in the Python signal docs: the interpreter's final flush
+        # of the unwritten rest goes to devnull instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

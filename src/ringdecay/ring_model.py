@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _MAX_A, _check_integer, _check_size_parameter
+from .specfun import _MAX_A, _check_integer, _check_real, _check_size_parameter
 
 __all__ = [
     "RingConfig",
@@ -97,7 +97,7 @@ class ModelKind:
 
     def __post_init__(self):
         if self.delta is not None:
-            d = float(self.delta)
+            d = _check_real(self.delta, "delta")
             if not 0.0 <= d <= math.pi / 2:
                 raise ValueError(f"delta must lie in [0, pi/2], got {d}")
             object.__setattr__(self, "delta", d)
@@ -148,26 +148,22 @@ _J1X_COEFFS = (1.0 / 3.0, -1.0 / 30.0, 1.0 / 840.0, -1.0 / 45360.0, 1.0 / 399168
 
 def _j1_over_x(x: np.ndarray, sinc: np.ndarray) -> np.ndarray:
     """j1(x)/x, given sinc = sin(x)/x at the same x."""
-    small = x < 0.1
-    xs = np.where(small, x, 1.0)  # placeholder keeps the large branch finite
-    x2 = xs * xs
+    x2 = x * x
+    with np.errstate(divide="ignore", invalid="ignore"):  # x2 == 0 only where x < 0.1
+        direct = (sinc - np.cos(x)) / x2
     series = _J1X_COEFFS[4]
     for c in reversed(_J1X_COEFFS[:4]):
         series = series * x2 + c
-    xl = np.where(small, 1.0, x)
-    direct = (sinc - np.cos(xl)) / (xl * xl)
-    return np.where(small, series, direct)
+    return np.where(x < 0.1, series, direct)
 
 
 def vector_gamma_kernel(x, delta: float):
     """Aligned-dipole pair decay rate at tilt angle delta, 1 at x = 0."""
     delta = ModelKind.vectorial(delta).delta
+    sinc = scalar_gamma_kernel(x)  # checks x is finite
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("separation must be finite")
     sin2 = math.sin(delta) ** 2
     cos2 = math.cos(delta) ** 2
-    sinc = np.sinc(x / np.pi)
     out = 1.5 * (sin2 * sinc + (3.0 * cos2 - 1.0) * _j1_over_x(x, sinc))
     return float(out) if out.ndim == 0 else out
 
@@ -195,7 +191,7 @@ def lattice_conversion(n_atoms: int, d_over_lambda: float) -> float:
     Exact inverse of RingConfig.spacing_in_wavelengths.
     """
     n_atoms = _check_n_atoms(n_atoms)
-    d = float(d_over_lambda)
+    d = _check_real(d_over_lambda, "d_over_lambda")
     if not math.isfinite(d) or d <= 0.0:
         raise ValueError(f"d_over_lambda must be finite and > 0, got {d!r}")
     a = math.pi * d / math.sin(math.pi / n_atoms)

@@ -75,7 +75,7 @@ _A_TINY = 1e-50
 
 def _check_size_parameter(a) -> float:
     """a as a float, or ValueError outside the supported 0 <= a <= _MAX_A."""
-    a = float(a)
+    a = _check_real(a, "size parameter a")
     if not math.isfinite(a) or a < 0.0:
         raise ValueError(f"size parameter a must be finite and >= 0, got {a!r}")
     if a > _MAX_A:
@@ -88,6 +88,13 @@ def _check_integer(value, name: str) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_real(value, name: str) -> float:
+    """value as a float, or ValueError for a bool, np.bool_, str or bytes."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _miller_sweep(x: float, top: int) -> np.ndarray:

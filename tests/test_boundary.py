@@ -5,12 +5,14 @@ The supported range is 2 <= N <= 1e7, 0 <= a <= 1e4 and 0 <= delta <= pi/2.
 takes an atom count, a size parameter or a tilt angle must fail with
 ``ValueError`` outside the range instead of returning a number.  Integer
 arguments (orders, table sizes, mode indices) refuse ``bool``, so
-``True`` is never read as 1.
+``True`` is never read as 1; real-valued arguments (a, delta, d/lambda)
+refuse ``bool`` and strings, so neither is read as a number.
 """
 
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ringdecay import (
@@ -30,8 +32,8 @@ from ringdecay import (
 )
 
 BAD_N = [1, 10**7 + 1]
-BAD_A = [-1.0, math.nan, math.inf, 2e4]
-BAD_DELTA = [-0.1, math.nan]
+BAD_A = [-1.0, math.nan, math.inf, 2e4, True, "3"]
+BAD_DELTA = [-0.1, math.nan, True, "0.5"]
 
 # (entry, call taking the one bad argument)
 TAKES_N = [
@@ -159,6 +161,27 @@ def test_non_integer_refusal_names_the_argument(call, name):
     with pytest.raises(ValueError) as exc:
         call(2.5)
     assert str(exc.value) == f"{name} must be an integer, got 2.5"
+
+
+# (entry, call taking the one real-valued argument, the name its refusal gives)
+TAKES_REAL = ([(entry, call, "size parameter a") for entry, call in TAKES_A]
+              + [(entry, call, "delta") for entry, call in TAKES_DELTA]
+              + [(entry, call, "d_over_lambda") for entry, call in TAKES_SPACING])
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5", b"0.5"], ids=repr)
+@pytest.mark.parametrize("call, name", [(call, arg) for _, call, arg in TAKES_REAL],
+                         ids=[f"{entry}-{arg}" for entry, _, arg in TAKES_REAL])
+def test_non_real_refusal_names_the_argument(call, name, bad):
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    assert str(exc.value) == f"{name} must be a real number, got {bad!r}"
+
+
+def test_numpy_reals_are_admitted():
+    assert RingConfig(4, np.float32(0.5)).size_parameter == 0.5
+    assert ModelKind(np.float64(0.5)).delta == 0.5
+    assert lattice_conversion(4, np.int64(1)) == lattice_conversion(4, 1.0)
 
 
 @pytest.mark.parametrize("call", [call for _, call in TAKES_N],

@@ -450,6 +450,36 @@ class TestValidate:
         assert "max |Δ|" in report.read_bytes().decode("utf-8")
 
 
+class TestOutputErrors:
+    @pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--n-atoms", "4", "--a", "1"]],
+                             ids=["validate", "spectrum"])
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/out.txt", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv, target, reason):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {path}: {reason}\n"
+
+    def test_closed_pipe_ends_quietly(self):
+        # 100000 rows are far more than a pipe holds, so the writer meets the
+        # closed pipe mid-table; it exits 141 (128 + SIGPIPE) with no traceback
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ringdecay", "spectrum", "--n-atoms", "100000", "--a", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert first == b"k,rate\n"
+        assert err == b""
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -120,8 +120,16 @@ class TestScalarKernels:
 
 class TestVectorKernel:
     def test_unit_at_origin_any_delta(self):
+        # x * x is 0 or subnormal below x ~ 1.5e-162: the series must answer
+        # there, bit for bit as at 0, and the discarded direct branch not warn
+        tiny = [1e-300, 1e-170, 1e-160]
         for delta in (0.0, 0.3, MAGIC_DELTA, math.pi / 2):
-            assert vector_gamma_kernel(0.0, delta) == pytest.approx(1.0, abs=1e-15)
+            origin = vector_gamma_kernel(0.0, delta)
+            assert origin == pytest.approx(1.0, abs=1e-15)
+            for x in tiny:
+                assert vector_gamma_kernel(x, delta) == origin
+            assert np.array_equal(vector_gamma_kernel(np.array(tiny), delta),
+                                  np.full(len(tiny), origin))
 
     def test_in_plane_at_pi(self):
         # delta = 0 leaves 3 j1(x)/x; j1(pi) = 1/pi, so the value is 3/pi^2

@@ -13,8 +13,8 @@ and float cells in ``%.17g`` (the bytes of ``str`` and of
 are formatted and written in blocks of ``_BLOCK_ROWS``, so the writer's
 own memory does not grow with the row count.  Identical command lines
 produce byte-identical files; ``validate`` writes a text report.  Exit codes:
-0 success, 1 validation failure, 2 usage error (an ``--output`` that cannot
-be opened included), 141 stdout closed by its reader.
+0 success, 1 validation failure, 2 usage error or an output that cannot be
+written, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -50,12 +50,9 @@ def _write(path: str, chunks) -> None:
     """Write each text chunk as it comes, to stdout or to the file at ``path``."""
     if path == "stdout":
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe or a full disk raises here, not at exit
     else:
-        try:
-            fh = open(path, "w", encoding="utf-8", newline="\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
-        with fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
 
 
@@ -242,17 +239,19 @@ def cmd_validate(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.run(args)
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-        return code
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except BrokenPipeError:
-        # the recipe in the Python signal docs: the interpreter's final flush
-        # of the unwritten rest goes to devnull instead of raising again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return BROKEN_PIPE
+    except OSError as exc:
+        # Only the output is opened or written, so any OSError is an output failure.
+        if args.output == "stdout":
+            # Python signal docs recipe: the final flush of the rest goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return BROKEN_PIPE
+        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -171,6 +171,12 @@ def _coeff_series(n: int, a: float, moment: int) -> float:
 
 def _coeff_closed_form(a: float, n_max: int):
     """c_n(a) and d_n(a) for n = 0..n_max from one Miller sweep at Z = 2a."""
+    if a < _A_TINY:  # the a = 0 values
+        c = np.zeros(n_max + 1)
+        c[0] = 1.0
+        d = np.zeros(n_max + 1)
+        d[0] = 1.0 / 3.0
+        return c, d
     z = 2.0 * a
     j = _miller_sweep(z, 2 * n_max + 3)
     # tail[i] = sum_{k>=0} J_{2i+2k+1}(Z), summed from the smallest terms up
@@ -195,14 +201,12 @@ def _validate_coeff_args(n, a, method):
 def _coeff(n, a, method, moment):
     n, a = _validate_coeff_args(n, a, method)
     n = abs(n)
-    if a < _A_TINY:
-        return (1.0 / (moment + 1)) if n == 0 else 0.0
-    if method == "series":
-        if not series_admitted(n, a):
-            raise ValueError("series unstable, use quadrature")
-        return _coeff_series(n, a, moment)
-    c, d = _coeff_closed_form(a, n)
-    return float(c[n] if moment == 0 else d[n])
+    if method == "quadrature" or a < _A_TINY:
+        c, d = _coeff_closed_form(a, n)
+        return float(c[n] if moment == 0 else d[n])
+    if not series_admitted(n, a):
+        raise ValueError("series unstable, use quadrature")
+    return _coeff_series(n, a, moment)
 
 
 def coeff_c(n: int, a: float, method: str = "quadrature") -> float:
@@ -266,19 +270,12 @@ def coeff_table(a: float, n_max: int, method: str = "quadrature") -> Coefficient
     either sum rule then misses by more than ``TOL_SUM`` it warns but still
     evaluates.
     """
+    if _check_integer(n_max, "order") < 0:
+        raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
     n_max, a = _validate_coeff_args(n_max, a, method)
-    if n_max < 0:
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    if a < _A_TINY:
-        c = np.zeros(n_max + 1)
-        c[0] = 1.0
-        d = np.zeros(n_max + 1)
-        d[0] = 1.0 / 3.0
-    elif method == "series":
-        if not series_admitted(0, a):  # admission only widens as |n| grows
-            raise ValueError("series unstable, use quadrature")
-        c = np.array([_coeff_series(n, a, 0) for n in range(n_max + 1)])
-        d = np.array([_coeff_series(n, a, 2) for n in range(n_max + 1)])
+    if method == "series" and a >= _A_TINY:  # row 0 refuses first: admission widens with |n|
+        c = np.array([_coeff(n, a, method, 0) for n in range(n_max + 1)])
+        d = np.array([_coeff(n, a, method, 2) for n in range(n_max + 1)])
     else:
         c, d = _coeff_closed_form(a, n_max)
     table = CoefficientTable(a=a, n_max=n_max, c=c, d=d)

@@ -171,21 +171,24 @@ class SubradiantEdge(NamedTuple):
 def subradiant_edge(n_atoms: int, d_over_lambda: float) -> SubradiantEdge:
     """Most-subradiant mode rate for an even ring at fixed spacing.
 
-    The exponential estimate (2 pi N)^(-1/2) (e d/lambda)^N captures the
-    suppression only as d/lambda -> 0; at moderate spacing it decays
-    slower than the exact rate (see the validation report).  The edge
-    order N/2 is a coefficient order, so N is at most 2e5.
+    The estimate (2 pi N)^(-1/2) (e d/lambda)^N holds only as d/lambda -> 0;
+    at moderate spacing it decays slower than the exact rate (see the
+    validation report), and it is inf once (e d/lambda)^N overflows.  The
+    edge order N/2 is a coefficient order, so N is at most 2e5.
     """
-    a_ring = lattice_conversion(n_atoms, d_over_lambda)
+    a_ring = lattice_conversion(n_atoms, d_over_lambda)  # checks N and d/lambda
     if n_atoms % 2:
         raise ValueError("edge mode is defined for an even atom count only")
-    d = float(d_over_lambda)
+    n_atoms, d = int(n_atoms), float(d_over_lambda)
     half = n_atoms // 2
     if half > _MAX_COEFF_ORDER:
         raise ValueError(f"n_atoms = {n_atoms} puts the edge mode N/2 = {half} above the "
                          f"coefficient order limit {_MAX_COEFF_ORDER}")
     exact = n_atoms * coeff_c(half, n_atoms * d)
-    asymptotic = (math.e * d) ** n_atoms / math.sqrt(2.0 * math.pi * n_atoms)
+    try:
+        asymptotic = (math.e * d) ** n_atoms / math.sqrt(2.0 * math.pi * n_atoms)
+    except OverflowError:  # (e d/lambda)^N past the float range
+        asymptotic = math.inf
     exact_ring = n_atoms * coeff_c(half, a_ring)
     return SubradiantEdge(exact=exact, asymptotic=asymptotic, exact_ring=exact_ring)
 
@@ -200,11 +203,11 @@ def large_a_vector_estimate(n_atoms: int, a: float, k: int, delta: float) -> flo
     config = RingConfig(n_atoms, a)
     delta = ModelKind.vectorial(delta).delta
     n_atoms, a = config.n_atoms, config.size_parameter
-    _check_mode_index(k, n_atoms)
+    k = _check_mode_index(k, n_atoms)
     if a < 1.0:
         raise ValueError(f"estimate requires a >= 1, got {a}")
-    if abs(k) >= a:
-        raise ValueError(f"estimate requires |k| < a, got k = {k}, a = {a}")
+    if k >= a:
+        raise ValueError(f"estimate requires |k| < a, got |k| = {k}, a = {a}")
     cos2 = math.cos(delta) ** 2
     return (3.0 * n_atoms / (8.0 * a)) * (
         1.0 + cos2 + (1.0 - 3.0 * cos2) * (k * k - 0.25) / (a * a)

@@ -130,6 +130,13 @@ class TestCoeffs:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("n_max", ["-1", "-200000"])
+    def test_negative_n_max_is_usage_error(self, capsys, n_max):
+        code, out, err = run_cli(capsys, "coeffs", "--a", "1", "--n-max", n_max)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n_max must be a nonnegative integer, got {n_max}\n"
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run_cli(capsys, "coeffs", "--a", "7.3", "--n-max", "30", "--with-d")
         _, out2, _ = run_cli(capsys, "coeffs", "--a", "7.3", "--n-max", "30", "--with-d")
@@ -450,19 +457,36 @@ class TestValidate:
         assert "max |Δ|" in report.read_bytes().decode("utf-8")
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this platform")
+
+
 class TestOutputErrors:
     @pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--n-atoms", "4", "--a", "1"]],
                              ids=["validate", "spectrum"])
     @pytest.mark.parametrize("target, reason", [
         ("missing/out.txt", "No such file or directory"),
         (".", "Is a directory"),
-    ], ids=["missing-directory", "directory"])
+        pytest.param("/dev/full", "No space left on device", marks=needs_dev_full),
+    ], ids=["missing-directory", "directory", "full-disk"])
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv, target, reason):
-        path = tmp_path / target
+        path = tmp_path / target  # an absolute target replaces tmp_path
         code, out, err = run_cli(capsys, *argv, "--output", str(path))
         assert code == 2
         assert out == ""
         assert err == f"error: cannot write {path}: {reason}\n"
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["spectrum", "--n-atoms", "100000", "--a", "1"],
+    ], ids=["validate", "spectrum"])
+    def test_full_disk_stdout_is_usage_error(self, argv):
+        # the small report fails at the flush, the 100000-row table mid-write
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "ringdecay", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: cannot write stdout: No space left on device\n"
 
     def test_closed_pipe_ends_quietly(self):
         # 100000 rows are far more than a pipe holds, so the writer meets the

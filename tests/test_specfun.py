@@ -301,8 +301,11 @@ class TestCoefficientTable:
         assert abs(table.d_sum() - 1.0 / 3.0) <= TOL_SUM
 
     def test_invalid_n_max(self):
-        with pytest.raises(ValueError):
-            coeff_table(1.0, -1)
+        # the sign is refused first, however far below zero n_max is
+        for n_max in (-1, -200000, np.int64(-1)):
+            with pytest.raises(ValueError) as exc:
+                coeff_table(1.0, n_max)
+            assert str(exc.value) == f"n_max must be a nonnegative integer, got {int(n_max)}"
 
     def test_n_max_limit_matches_coeff_c(self):
         # the table admits exactly the orders a single coefficient does

@@ -127,6 +127,11 @@ class TestLargeN:
     def test_both_routes_at_five_million(self):
         self.check_both_routes(5_000_000, 0.5, ModelKind.scalar())
 
+    def test_both_routes_at_the_ceiling(self):
+        # N = 1e7, the largest admitted ring; measured: agreement 4.7e-10,
+        # both traces exact, smallest oracle rate -0.21 eps N
+        self.check_both_routes(10**7, 0.5, ModelKind.scalar())
+
     def test_vector_both_routes_at_two_to_the_twenty(self):
         # measured: trace within 1 ulp(N), smallest oracle rate -0.0026 eps N,
         # route agreement 6.4e-13
@@ -266,6 +271,19 @@ class TestSubradiantEdge:
         with pytest.raises(ValueError, match="even atom count"):
             subradiant_edge(9, 0.3)
 
+    @pytest.mark.parametrize("n, d", [(20000, 0.4), (1000, 9.0), (200, 49.0),
+                                      pytest.param(np.int64(200), 49.0, id="int64-200-49.0")])
+    def test_estimate_past_float_range_is_infinite(self, n, d):
+        # (e d/lambda)^N overflows; the estimate is inf, with no exception or warning
+        edge = subradiant_edge(n, d)
+        assert edge.asymptotic == math.inf
+        assert math.isfinite(edge.exact) and math.isfinite(edge.exact_ring)
+
+    def test_numpy_atom_count_gives_floats(self):
+        edge = subradiant_edge(np.int64(16), 0.1)
+        assert all(type(x) is float for x in edge)
+        assert edge == subradiant_edge(16, 0.1)
+
     def test_spacing_validation(self):
         with pytest.raises(ValueError):
             subradiant_edge(10, 0.0)
@@ -298,6 +316,11 @@ class TestLargeAVectorEstimate:
         assert val == pytest.approx(0.0375 * (2.0 + 2.0 * 0.25 / 1e4), abs=1e-15)
         val = large_a_vector_estimate(10, 100.0, 4, math.pi / 2)
         assert val == pytest.approx(0.0375 * (1.0 + 15.75 / 1e4), abs=1e-15)
+
+    def test_numpy_mode_index_gives_float(self):
+        val = large_a_vector_estimate(10, 50.0, np.int64(-3), 0.3)
+        assert type(val) is float
+        assert val == large_a_vector_estimate(10, 50.0, 3, 0.3)
 
     def test_magic_angle_plateau(self):
         # second term cancels, leaving the scalar plateau N/(2a)

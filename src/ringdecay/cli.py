@@ -12,9 +12,10 @@ and float cells in ``%.17g`` (the bytes of ``str`` and of
 ``format(x, ".17g")``), joined by commas, each line ending in LF.  Rows
 are formatted and written in blocks of ``_BLOCK_ROWS``, so the writer's
 own memory does not grow with the row count.  Identical command lines
-produce byte-identical files; ``validate`` writes a text report.  Exit codes:
-0 success, 1 validation failure, 2 usage error or an output that cannot be
-written, 141 stdout closed by its reader.
+produce byte-identical files; ``validate`` writes a text report.  The
+parser is built once, at import, and every ``main`` call reuses it.
+Exit codes: 0 success, 1 validation failure, 2 usage error or an output
+that cannot be written, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -236,8 +237,11 @@ def cmd_validate(args) -> int:
     return 0 if all_passed(results) else VALIDATION_ERROR
 
 
+_PARSER = build_parser()  # below the cmd_* functions, which its ``run`` defaults bind
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
     except ValueError as exc:

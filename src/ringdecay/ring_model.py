@@ -51,7 +51,9 @@ __all__ = [
 # limit ``ringdecay spectrum --a 1e4 --path both`` took 25 s and peaked at
 # 0.55 GiB RSS on a 2-core Xeon VM, Python 3.11.  A prime N costs the oracle
 # more: at a = 0.5 it took 1.91 s and peaked at 1670 MiB RSS at N = 9999991,
-# against 0.24 s and 449 MiB at N = 1e7 (single runs, same VM).
+# against 0.24 s and 449 MiB at N = 1e7 (single runs, same VM).  The whole
+# ``ringdecay spectrum --n-atoms 9999991 --a 0.5 --path both > /dev/null``
+# took 35 s and peaked at 1747 MiB RSS (one run, same VM).
 _MAX_N_ATOMS = 10**7
 
 

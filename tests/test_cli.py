@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from ringdecay import cli
 from ringdecay.cli import main
+from ringdecay.specfun import coeff_table
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +153,63 @@ class TestCoeffs:
         data = target.read_bytes()
         assert b"\r" not in data
         assert data.decode().startswith("n,c\n")
+
+
+def coeffs_reference(a, n_max, with_d, method="quadrature"):
+    """Rows -n_max..n_max of ``coeff_table``, every cell formatted on its own."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the truncation note, which the CLI prints
+        table = coeff_table(a, n_max, method=method)
+    ns = np.arange(-n_max, n_max + 1)
+    columns = (table.c, table.d) if with_d else (table.c,)
+    return reference_lines("n,c,d" if with_d else "n,c",
+                           [ns, *(col[np.abs(ns)] for col in columns)])
+
+
+COEFFS_SEAMS = [0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, 2 * cli._BLOCK_ROWS]
+COEFFS_CASES = ([("3.5", n_max, with_d, "quadrature")
+                 for n_max in COEFFS_SEAMS for with_d in (False, True)]
+                + [("2", 30, True, "series")])
+
+
+class TestCoeffsMirror:
+    """``coeffs`` writes row -n as "-" + row n; the bytes are those of every row formatted."""
+
+    @staticmethod
+    def argv(a, n_max, with_d, method):
+        return ["coeffs", "--a", a, "--n-max", str(n_max), "--method", method,
+                *(["--with-d"] if with_d else [])]
+
+    @pytest.mark.parametrize("a, n_max, with_d, method", COEFFS_CASES)
+    def test_stdout_matches_per_cell_reference(self, capsys, a, n_max, with_d, method):
+        code, out, _ = run_cli(capsys, *self.argv(a, n_max, with_d, method))
+        assert code == 0
+        assert out.split("\n") == coeffs_reference(float(a), n_max, with_d, method) + [""]
+
+    @pytest.mark.parametrize("a, n_max, with_d, method", COEFFS_CASES)
+    def test_file_matches_per_cell_reference(self, capsys, tmp_path, a, n_max, with_d,
+                                             method):
+        target = tmp_path / "coeffs.csv"
+        code, out, _ = run_cli(capsys, *self.argv(a, n_max, with_d, method),
+                               "--output", str(target))
+        assert (code, out) == (0, "")
+        lines = target.read_bytes().decode().split("\n")
+        assert lines == coeffs_reference(float(a), n_max, with_d, method) + [""]
+
+    @pytest.mark.parametrize("n_max", [0, 5, cli._BLOCK_ROWS + 1])
+    def test_formats_rows_zero_to_n_max_once(self, capsys, monkeypatch, n_max):
+        formatted = []
+        inner = cli._csv_chunks
+
+        def counted(header, columns):
+            formatted.append(len(columns[0]))
+            return inner(header, columns)
+        monkeypatch.setattr(cli, "_csv_chunks", counted)
+        code, out, _ = run_cli(capsys, "coeffs", "--a", "2", "--n-max", str(n_max),
+                               "--with-d")
+        assert code == 0
+        assert formatted == [n_max + 1]
+        assert out.count("\n") == 2 * n_max + 2
 
 
 class TestSpectrumCommand:
@@ -316,6 +375,18 @@ class TestSweep:
         ks = [int(r[1]) for r in rows[:4]]
         assert ks == [0, 1, 2, 4]
 
+    @pytest.mark.parametrize("grid", [("0.05", "100", "200"), ("0.3", "0.7", "7"),
+                                      ("0.01", "1000", "11"), ("1", "2", "2")])
+    def test_grid_starts_and_ends_at_its_bounds(self, capsys, grid):
+        grid_min, grid_max, points = grid
+        code, out, _ = run_cli(capsys, "sweep", "--k", "0", "--grid-min", grid_min,
+                               "--grid-max", grid_max, "--grid-points", points)
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert len(rows) == int(points)
+        assert rows[0][0] == format(float(grid_min), ".17g")
+        assert rows[-1][0] == format(float(grid_max), ".17g")
+
     def test_invalid_k(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n-atoms", "10", "--k", "0,7")
         assert code == 2
@@ -461,9 +532,14 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
                                     reason="no /dev/full on this platform")
 
 
+# The largest coeffs table: it is formatted in full before its output is opened.
+LARGEST_COEFFS = ["coeffs", "--a", "1e4", "--n-max", "100000", "--with-d"]
+
+
 class TestOutputErrors:
-    @pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--n-atoms", "4", "--a", "1"]],
-                             ids=["validate", "spectrum"])
+    @pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--n-atoms", "4", "--a", "1"],
+                                      LARGEST_COEFFS],
+                             ids=["validate", "spectrum", "coeffs"])
     @pytest.mark.parametrize("target, reason", [
         ("missing/out.txt", "No such file or directory"),
         (".", "Is a directory"),
@@ -478,8 +554,8 @@ class TestOutputErrors:
 
     @needs_dev_full
     @pytest.mark.parametrize("argv", [
-        ["validate"], ["spectrum", "--n-atoms", "100000", "--a", "1"],
-    ], ids=["validate", "spectrum"])
+        ["validate"], ["spectrum", "--n-atoms", "100000", "--a", "1"], LARGEST_COEFFS,
+    ], ids=["validate", "spectrum", "coeffs"])
     def test_full_disk_stdout_is_usage_error(self, argv):
         # the small report fails at the flush, the 100000-row table mid-write
         with open("/dev/full", "w") as full:
@@ -488,19 +564,21 @@ class TestOutputErrors:
         assert proc.returncode == 2
         assert proc.stderr == b"error: cannot write stdout: No space left on device\n"
 
-    def test_closed_pipe_ends_quietly(self):
+    @pytest.mark.parametrize("argv, header", [
+        (["spectrum", "--n-atoms", "100000", "--a", "1"], b"k,rate\n"),
+        (LARGEST_COEFFS, b"n,c,d\n"),
+    ], ids=["spectrum", "coeffs"])
+    def test_closed_pipe_ends_quietly(self, argv, header):
         # 100000 rows are far more than a pipe holds, so the writer meets the
         # closed pipe mid-table; it exits 141 (128 + SIGPIPE) with no traceback
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "ringdecay", "spectrum", "--n-atoms", "100000", "--a", "1"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        )
+        proc = subprocess.Popen([sys.executable, "-m", "ringdecay", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=120) == 141
-        assert first == b"k,rate\n"
+        assert first == header
         assert err == b""
 
 

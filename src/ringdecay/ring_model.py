@@ -1,10 +1,10 @@
-"""Ring geometry, decay kernels, and the circulant coupling matrix.
+"""Decay kernels and the circulant coupling matrix of a ring.
 
-N emitters sit at angles phi_j = 2 pi (j-1)/N on a ring whose radius is
-expressed through the dimensionless size parameter a (radius times the
-transition wavenumber).  Pair separations are chords,
+N emitters sit equally spaced on a ring whose radius is expressed
+through the dimensionless size parameter a (radius times the transition
+wavenumber).  Atoms s places apart around the ring are a chord apart,
 
-    x_jm = 2 a sin(|phi_j - phi_m| / 2),
+    x_s = 2 a sin(pi s / N),
 
 and the pair decay rates, in units of the single-emitter linewidth, are
 pure functions of that chord:
@@ -19,7 +19,7 @@ equal 1 at zero separation, which fixes the matrix diagonal exactly.
 At cos^2(delta) = 1/3 the j1 term cancels and the aligned kernel
 reduces to the scalar one.
 
-Because the rates depend only on (j - m) mod N, the full matrix is
+Because the rates depend only on s = (m - j) mod N, the full matrix is
 circulant: ``coupling_matrix`` returns its generating first row, O(N)
 memory, with entry (j, m) equal to row[(m - j) mod N].
 
@@ -40,7 +40,6 @@ from .specfun import _MAX_A, _check_integer, _check_real, _check_size_parameter
 __all__ = [
     "RingConfig",
     "ModelKind",
-    "chord",
     "scalar_gamma_kernel",
     "vector_gamma_kernel",
     "coupling_matrix",
@@ -81,17 +80,6 @@ class RingConfig:
         object.__setattr__(self, "n_atoms", _check_n_atoms(self.n_atoms))
         object.__setattr__(self, "size_parameter", _check_size_parameter(self.size_parameter))
 
-    def angle(self, j: int) -> float:
-        """Angular position of atom j (1-based): ValueError unless j is an integer."""
-        j = _check_integer(j, "atom index")
-        if not 1 <= j <= self.n_atoms:
-            raise IndexError(f"atom index {j} outside 1..{self.n_atoms}")
-        return 2.0 * math.pi * (j - 1) / self.n_atoms
-
-    def spacing_in_wavelengths(self) -> float:
-        """Nearest-neighbour distance over the transition wavelength."""
-        return (self.size_parameter / math.pi) * math.sin(math.pi / self.n_atoms)
-
 
 @dataclass(frozen=True)
 class ModelKind:
@@ -124,16 +112,6 @@ class ModelKind:
         if self.is_vectorial:
             return f"vectorial(delta={self.delta:.6g})"
         return "scalar"
-
-
-def chord(config: RingConfig, j: int, m: int) -> float:
-    """Dimensionless chord separation between atoms j and m (1-based).
-
-    0.0 at j == m; maximal (2a) at antipodal positions.  ``config.angle``
-    checks both indices, j first.
-    """
-    half = abs(config.angle(j) - config.angle(m)) / 2.0
-    return 2.0 * config.size_parameter * math.sin(half)
 
 
 def scalar_gamma_kernel(x):
@@ -192,7 +170,7 @@ def coupling_matrix(config: RingConfig, model: ModelKind) -> np.ndarray:
 def lattice_conversion(n_atoms: int, d_over_lambda: float) -> float:
     """Size parameter a for a given nearest-neighbour spacing d/lambda.
 
-    Exact inverse of RingConfig.spacing_in_wavelengths.
+    Inverts d/lambda = (a/pi) sin(pi/N): a = pi (d/lambda) / sin(pi/N).
     """
     n_atoms = _check_n_atoms(n_atoms)
     d = _check_real(d_over_lambda, "d_over_lambda")

@@ -91,8 +91,8 @@ def _check_integer(value, name: str) -> int:
 
 
 def _check_real(value, name: str) -> float:
-    """value as a float, or ValueError for a bool, np.bool_, str or bytes."""
-    if isinstance(value, (bool, np.bool_, str, bytes)):
+    """value as a float, or ValueError for a bool, complex number, str or bytes."""
+    if isinstance(value, (bool, np.bool_, complex, np.complexfloating, str, bytes)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
 
@@ -282,9 +282,11 @@ def coeff_table(a: float, n_max: int, method: str = "quadrature") -> Coefficient
     if n_max > _MAX_COEFF_ORDER:
         raise ValueError(f"n_max = {n_max} exceeds supported limit {_MAX_COEFF_ORDER}")
     a = _check_a_and_method(a, method)
-    if method == "series" and a >= _A_TINY:  # row 0 refuses first: admission widens with |n|
-        c = np.array([_coeff(n, a, method, 0) for n in range(n_max + 1)])
-        d = np.array([_coeff(n, a, method, 2) for n in range(n_max + 1)])
+    if method == "series" and a >= _A_TINY:
+        if not series_admitted(0, a):  # admission widens with |n|: row 0 decides the table
+            raise ValueError("series unstable, use quadrature")
+        c = np.array([_coeff_series(n, a, 0) for n in range(n_max + 1)])
+        d = np.array([_coeff_series(n, a, 2) for n in range(n_max + 1)])
     else:
         c, d = _coeff_closed_form(a, n_max)
     table = CoefficientTable(a=a, n_max=n_max, c=c, d=d)

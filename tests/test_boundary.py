@@ -6,7 +6,8 @@ takes an atom count, a size parameter or a tilt angle must fail with
 ``ValueError`` outside the range instead of returning a number.  Integer
 arguments (orders, table sizes, mode indices) refuse ``bool``, so
 ``True`` is never read as 1; real-valued arguments (a, delta, d/lambda)
-refuse ``bool`` and strings, so neither is read as a number.
+refuse ``bool``, complex numbers and strings, so none is read as a real
+number.
 """
 
 import math
@@ -20,7 +21,6 @@ from ringdecay import (
     RingConfig,
     alias_cutoff,
     analytic_spectrum,
-    chord,
     coeff_c,
     coeff_d,
     coeff_table,
@@ -32,8 +32,8 @@ from ringdecay import (
 )
 
 BAD_N = [1, 10**7 + 1]
-BAD_A = [-1.0, math.nan, math.inf, 2e4, True, "3"]
-BAD_DELTA = [-0.1, math.nan, True, "0.5"]
+BAD_A = [-1.0, math.nan, math.inf, 2e4, True, "3", np.complex128(3 + 4j)]
+BAD_DELTA = [-0.1, math.nan, True, "0.5", np.complex128(0.5 + 0.2j)]
 
 # (entry, call taking the one bad argument)
 TAKES_N = [
@@ -72,8 +72,6 @@ TAKES_INT = [
     ("large_a_vector_estimate", lambda b: large_a_vector_estimate(10, 5.0, b, 0.3),
      "mode index k"),
     ("RingConfig", lambda b: RingConfig(b, 1.0), "n_atoms"),
-    ("RingConfig.angle", lambda b: RingConfig(6, 2.0).angle(b), "atom index"),
-    ("chord", lambda b: chord(RingConfig(6, 2.0), b, 2), "atom index"),
     ("DecaySpectrum.rate",
      lambda b: analytic_spectrum(RingConfig(6, 2.0), ModelKind.scalar()).rate(b),
      "mode index k"),
@@ -169,7 +167,8 @@ TAKES_REAL = ([(entry, call, "size parameter a") for entry, call in TAKES_A]
               + [(entry, call, "d_over_lambda") for entry, call in TAKES_SPACING])
 
 
-@pytest.mark.parametrize("bad", [True, np.True_, "0.5", b"0.5"], ids=repr)
+@pytest.mark.parametrize("bad", [True, np.True_, 0.5 + 0j, np.complex128(0.5 + 0.2j), "0.5",
+                                 b"0.5"], ids=repr)
 @pytest.mark.parametrize("call, name", [(call, arg) for _, call, arg in TAKES_REAL],
                          ids=[f"{entry}-{arg}" for entry, _, arg in TAKES_REAL])
 def test_non_real_refusal_names_the_argument(call, name, bad):

@@ -1,4 +1,4 @@
-"""Geometry, kernel, and coupling-matrix tests.
+"""Kernel, coupling-matrix and lattice-conversion tests.
 
 Kernel oracles: closed trig forms at special arguments and scipy's
 spherical Bessel functions for the aligned-dipole kernel.
@@ -15,7 +15,6 @@ from scipy import special
 from ringdecay import (
     ModelKind,
     RingConfig,
-    chord,
     coupling_matrix,
     lattice_conversion,
     scalar_gamma_kernel,
@@ -36,19 +35,6 @@ class TestRingConfig:
         with pytest.raises(ValueError):
             RingConfig(4.0, 1.0)
 
-    def test_angles(self):
-        config = RingConfig(4, 1.0)
-        assert config.angle(1) == 0.0
-        assert config.angle(2) == pytest.approx(math.pi / 2, abs=1e-15)
-        with pytest.raises(IndexError):
-            config.angle(0)
-        with pytest.raises(IndexError):
-            config.angle(5)
-
-    def test_spacing(self):
-        config = RingConfig(6, math.pi)
-        assert config.spacing_in_wavelengths() == pytest.approx(0.5, abs=1e-15)
-
 
 class TestModelKind:
     def test_constructors(self):
@@ -64,39 +50,6 @@ class TestModelKind:
             ModelKind.vectorial(-0.1)
         with pytest.raises(ValueError):
             ModelKind.vectorial(math.pi / 2 + 0.01)
-
-
-class TestChord:
-    def test_antipodal(self):
-        assert chord(RingConfig(2, 3.0), 1, 2) == pytest.approx(6.0, abs=1e-14)
-
-    def test_quarter_circle(self):
-        assert chord(RingConfig(4, 1.0), 1, 2) == pytest.approx(math.sqrt(2.0), abs=1e-15)
-
-    def test_coincident(self):
-        assert chord(RingConfig(17, 2.5), 9, 9) == 0.0
-
-    def test_index_errors(self):
-        config = RingConfig(5, 1.0)
-        with pytest.raises(IndexError):
-            chord(config, 0, 1)
-        with pytest.raises(IndexError):
-            chord(config, 1, 6)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        n=st.integers(min_value=2, max_value=60),
-        a=st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
-        data=st.data(),
-    )
-    def test_symmetry_and_zero(self, n, a, data):
-        j = data.draw(st.integers(min_value=1, max_value=n))
-        m = data.draw(st.integers(min_value=1, max_value=n))
-        config = RingConfig(n, a)
-        assert chord(config, j, m) == pytest.approx(chord(config, m, j), abs=1e-13)
-        if j != m:
-            assert chord(config, j, m) > 0.0
-            assert chord(config, j, m) <= 2.0 * a + 1e-12
 
 
 class TestScalarKernels:
@@ -191,12 +144,20 @@ class TestCouplingMatrix:
             assert row[0] == 1.0
             assert np.array_equal(row[1:], row[:0:-1])  # palindrome: symmetric matrix
             for m in range(1, n):
-                x = chord(config, 1, m + 1)
+                x = 2.0 * a * abs(math.sin(math.pi * m / n))  # chord of atoms 1 and m + 1
                 if model.is_vectorial:
                     expect = vector_gamma_kernel(x, model.delta)
                 else:
                     expect = scalar_gamma_kernel(x)
                 assert row[m] == pytest.approx(expect, abs=1e-14)
+
+    def test_antipodal_pair_is_a_diameter_apart(self):
+        row = coupling_matrix(RingConfig(2, 3.0), ModelKind.scalar())
+        assert row[1] == scalar_gamma_kernel(6.0)
+
+    def test_quarter_circle_is_root_two_apart(self):
+        row = coupling_matrix(RingConfig(4, 1.0), ModelKind.scalar())
+        assert row[1] == pytest.approx(scalar_gamma_kernel(math.sqrt(2.0)), abs=1e-15)
 
     def test_two_atoms_dicke(self):
         mat = dense(coupling_matrix(RingConfig(2, 1e-12), ModelKind.scalar()))
@@ -215,7 +176,7 @@ class TestCouplingMatrix:
         mat = dense(coupling_matrix(config, model))
         for j in range(1, 5):
             for m in range(1, 5):
-                x = chord(config, j, m)
+                x = 2.0 * config.size_parameter * abs(math.sin(math.pi * (j - m) / 4))
                 expect = 1.0 if j == m else vector_gamma_kernel(x, 0.0)
                 assert mat[j - 1, m - 1] == pytest.approx(expect, abs=1e-14)
 
@@ -278,5 +239,6 @@ class TestLatticeConversion:
         d=st.floats(min_value=1e-3, max_value=10.0, allow_nan=False),
     )
     def test_round_trip(self, n, d):
-        config = RingConfig(n, lattice_conversion(n, d))
-        assert abs(config.spacing_in_wavelengths() - d) < 1e-14 * max(1.0, d)
+        a = lattice_conversion(n, d)
+        spacing = (a / math.pi) * math.sin(math.pi / n)  # d/lambda = (a/pi) sin(pi/N)
+        assert abs(spacing - d) < 1e-14 * max(1.0, d)

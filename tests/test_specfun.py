@@ -130,6 +130,8 @@ class TestCoeffC:
             coeff_c(0, 20.0, "series")
         with pytest.raises(ValueError, match="series unstable, use quadrature"):
             coeff_d(10, 50.0, "series")
+        with pytest.raises(ValueError, match="series unstable, use quadrature"):
+            coeff_table(7.0, 60, method="series")  # row 0 refuses: a^2 = 49 >= 0 + 40
 
     def test_bad_method(self):
         with pytest.raises(ValueError):
@@ -288,6 +290,13 @@ class TestCoefficientTable:
         ref = coeff_table(2.0, 25)
         assert np.max(np.abs(table.c - ref.c)) < 1e-9
         assert np.max(np.abs(table.d - ref.d)) < 1e-9
+
+    @pytest.mark.parametrize("a", [0.0, 1e-3, 2.0, 6.3])
+    def test_series_table_is_the_single_coefficients(self, a):
+        # checked once for the whole table, each row is still the same series sum
+        table = coeff_table(a, 60, method="series")
+        assert table.c.tolist() == [coeff_c(n, a, "series") for n in range(61)]
+        assert table.d.tolist() == [coeff_d(n, a, "series") for n in range(61)]
 
     def test_warns_when_truncated(self):
         with pytest.warns(UserWarning, match="sum rules"):

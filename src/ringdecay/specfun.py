@@ -111,18 +111,19 @@ def _miller_sweep(x: float, top: int) -> np.ndarray:
     nu = max(top, math.ceil(x))
     start = nu + _MILLER_PAD + math.ceil(math.sqrt(_MILLER_ACC * (nu + 1)))
     start += start % 2
-    vals = [0.0] * (start + 1)
     jp, jc = 0.0, 1e-30  # j_{m+1}, j_m, seeded at m = start
-    vals[start] = jc
-    rescaled = []  # orders m whose stored values vals[m:] missed a rescale
-    two_over_x = 2.0 / x
-    for m in range(start, 0, -1):
-        jp, jc = jc, m * two_over_x * jc - jp
-        if abs(jc) > _RESCALE_LIMIT:
+    vals = [jc]  # j_start, j_{start-1}, ..., reversed after the loop
+    rescaled = []  # orders m whose stored values j[m:] missed a rescale
+    high, low = _RESCALE_LIMIT, -_RESCALE_LIMIT
+    # 2m/x for m = start..1, each rounded as the double m * (2.0 / x)
+    for factor in (np.arange(start, 0, -1) * (2.0 / x)).tolist():
+        jp, jc = jc, factor * jc - jp
+        if jc > high or jc < low:
             jc *= _RESCALE
             jp *= _RESCALE
-            rescaled.append(m)
-        vals[m - 1] = jc
+            rescaled.append(start + 1 - len(vals))  # m, the order of factor
+        vals.append(jc)
+    vals.reverse()
     j = np.array(vals)
     for m in rescaled[-2:]:
         j[m:] *= _RESCALE

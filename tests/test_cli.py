@@ -11,7 +11,9 @@ import pytest
 
 from ringdecay import cli
 from ringdecay.cli import main
+from ringdecay.ring_model import ModelKind, RingConfig
 from ringdecay.specfun import coeff_table
+from ringdecay.spectrum import analytic_spectrum, oracle_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +212,90 @@ class TestCoeffsMirror:
         assert code == 0
         assert formatted == [n_max + 1]
         assert out.count("\n") == 2 * n_max + 2
+
+
+def spectrum_both_reference(n_atoms, a, model):
+    """``spectrum --path both`` rows k = -N//2.., every cell formatted on its own."""
+    config = RingConfig(n_atoms, a)
+    analytic = analytic_spectrum(config, model)
+    rates, oracles = (np.roll(spec.rates, n_atoms // 2).tolist()
+                      for spec in (analytic, oracle_spectrum(config, model)))
+    lines = ["k,rate,rate_oracle,abs_diff"]
+    diffs = []
+    for k, rate, oracle in zip(analytic.signed_indices().tolist(), rates, oracles):
+        diffs.append(abs(rate - oracle))
+        lines.append(",".join([str(k), format(rate, ".17g"), format(oracle, ".17g"),
+                               format(diffs[-1], ".17g")]))
+    return lines, f"max_abs_diff = {max(diffs):.17g}\n"
+
+
+BOTH_SEAMS = [2, 3, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1,
+              2 * cli._BLOCK_ROWS + 1]
+# a = 0 and 0.5 give mostly exact-zero analytic rates, a = 20 a mix; at
+# N = 2, a = 1e4 no analytic rate is 0
+BOTH_CASES = ([(n_atoms, a, ()) for n_atoms in BOTH_SEAMS for a in ("0", "0.5", "20")]
+              + [(2, "1e4", ()),
+                 (cli._BLOCK_ROWS + 1, "20", ("--model", "vector", "--delta", "1"))])
+
+
+class TestSpectrumBoth:
+    """``--path both`` reuses the oracle cell as abs_diff where the analytic rate is 0;
+    the bytes are those of every cell formatted, across the block seams."""
+
+    @staticmethod
+    def run(capsys, n_atoms, a, model_args, *extra):
+        return run_cli(capsys, "spectrum", "--n-atoms", str(n_atoms), "--a", a,
+                       "--path", "both", *model_args, *extra)
+
+    @staticmethod
+    def reference(n_atoms, a, model_args):
+        model = ModelKind.vectorial(1.0) if model_args else ModelKind.scalar()
+        return spectrum_both_reference(n_atoms, float(a), model)
+
+    @pytest.mark.parametrize("n_atoms, a, model_args", BOTH_CASES)
+    def test_stdout_matches_per_cell_reference(self, capsys, n_atoms, a, model_args):
+        code, out, err = self.run(capsys, n_atoms, a, model_args)
+        lines, max_line = self.reference(n_atoms, a, model_args)
+        assert code == 0
+        # lists, so a failure reports the first differing row, not a text diff
+        assert out.split("\n") == lines + [""]
+        assert err == max_line
+
+    @pytest.mark.parametrize("n_atoms, a, model_args", BOTH_CASES)
+    def test_file_matches_per_cell_reference(self, capsys, tmp_path, n_atoms, a, model_args):
+        target = tmp_path / "spectrum.csv"
+        code, out, err = self.run(capsys, n_atoms, a, model_args, "--output", str(target))
+        lines, max_line = self.reference(n_atoms, a, model_args)
+        assert (code, out, err) == (0, "", max_line)
+        data = target.read_bytes()
+        assert b"\r" not in data
+        assert data.decode().split("\n") == lines + [""]
+
+    def test_cases_hold_zero_and_nonzero_rates(self):
+        rates = {(n_atoms, a): analytic_spectrum(RingConfig(n_atoms, float(a)),
+                                                 ModelKind.scalar()).rates
+                 for n_atoms, a, model_args in BOTH_CASES if not model_args}
+        assert np.all(rates[2, "1e4"] != 0.0)
+        assert np.any(rates[2 * cli._BLOCK_ROWS + 1, "20"] == 0.0)
+        assert np.any(rates[2 * cli._BLOCK_ROWS + 1, "20"] != 0.0)
+
+    @pytest.mark.parametrize("n_atoms", BOTH_SEAMS)
+    def test_chunks_hold_one_block_at_most(self, capsys, monkeypatch, n_atoms):
+        rows = []
+        inner = cli._write
+
+        def counted(path, chunks):
+            def each():
+                for chunk in chunks:
+                    rows.append(chunk.count("\n"))
+                    yield chunk
+            inner(path, each())
+        monkeypatch.setattr(cli, "_write", counted)
+        code, out, _ = self.run(capsys, n_atoms, "20", ())
+        assert code == 0
+        full, rest = divmod(n_atoms, cli._BLOCK_ROWS)
+        assert rows == [1] + [cli._BLOCK_ROWS] * full + ([rest] if rest else [])
+        assert out.count("\n") == n_atoms + 1
 
 
 class TestSpectrumCommand:
@@ -534,12 +620,14 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
 
 # The largest coeffs table: it is formatted in full before its output is opened.
 LARGEST_COEFFS = ["coeffs", "--a", "1e4", "--n-max", "100000", "--with-d"]
+# Both routes: a failed write must end the run before its max_abs_diff line.
+LARGEST_BOTH = ["spectrum", "--n-atoms", "100000", "--a", "1", "--path", "both"]
 
 
 class TestOutputErrors:
     @pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--n-atoms", "4", "--a", "1"],
-                                      LARGEST_COEFFS],
-                             ids=["validate", "spectrum", "coeffs"])
+                                      LARGEST_BOTH, LARGEST_COEFFS],
+                             ids=["validate", "spectrum", "spectrum-both", "coeffs"])
     @pytest.mark.parametrize("target, reason", [
         ("missing/out.txt", "No such file or directory"),
         (".", "Is a directory"),
@@ -554,8 +642,9 @@ class TestOutputErrors:
 
     @needs_dev_full
     @pytest.mark.parametrize("argv", [
-        ["validate"], ["spectrum", "--n-atoms", "100000", "--a", "1"], LARGEST_COEFFS,
-    ], ids=["validate", "spectrum", "coeffs"])
+        ["validate"], ["spectrum", "--n-atoms", "100000", "--a", "1"], LARGEST_BOTH,
+        LARGEST_COEFFS,
+    ], ids=["validate", "spectrum", "spectrum-both", "coeffs"])
     def test_full_disk_stdout_is_usage_error(self, argv):
         # the small report fails at the flush, the 100000-row table mid-write
         with open("/dev/full", "w") as full:
@@ -566,8 +655,9 @@ class TestOutputErrors:
 
     @pytest.mark.parametrize("argv, header", [
         (["spectrum", "--n-atoms", "100000", "--a", "1"], b"k,rate\n"),
+        (LARGEST_BOTH, b"k,rate,rate_oracle,abs_diff\n"),
         (LARGEST_COEFFS, b"n,c,d\n"),
-    ], ids=["spectrum", "coeffs"])
+    ], ids=["spectrum", "spectrum-both", "coeffs"])
     def test_closed_pipe_ends_quietly(self, argv, header):
         # 100000 rows are far more than a pipe holds, so the writer meets the
         # closed pipe mid-table; it exits 141 (128 + SIGPIPE) with no traceback

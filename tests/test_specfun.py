@@ -23,6 +23,7 @@ from ringdecay import (
     coeff_d,
     coeff_table,
     series_admitted,
+    specfun,
 )
 from ringdecay.specfun import _miller_sweep
 
@@ -46,6 +47,29 @@ def j0_power_series(x):
         term *= q / (m * m)
         total += term
     return total
+
+
+def miller_sweep_scalar_loop(x, top):
+    """``_miller_sweep`` as one scalar product and one abs() per step: the reference."""
+    nu = max(top, math.ceil(x))
+    start = nu + specfun._MILLER_PAD + math.ceil(math.sqrt(specfun._MILLER_ACC * (nu + 1)))
+    start += start % 2
+    vals = [0.0] * (start + 1)
+    jp, jc = 0.0, 1e-30
+    vals[start] = jc
+    rescaled = []
+    two_over_x = 2.0 / x
+    for m in range(start, 0, -1):
+        jp, jc = jc, m * two_over_x * jc - jp
+        if abs(jc) > specfun._RESCALE_LIMIT:
+            jc *= specfun._RESCALE
+            jp *= specfun._RESCALE
+            rescaled.append(m)
+        vals[m - 1] = jc
+    j = np.array(vals)
+    for m in rescaled[-2:]:
+        j[m:] *= specfun._RESCALE
+    return j / (j[0] + 2.0 * math.fsum(j[2::2]))
 
 
 class TestMillerSweep:
@@ -94,6 +118,15 @@ class TestMillerSweep:
     def test_deep_tail_underflow_is_zero(self):
         # far below double range the correct double answer is 0
         assert _miller_sweep(50.0, 1000)[1000] == 0.0
+
+    # the ends of the Z = 2a range, a dense log grid between them, and the
+    # full-table top at a = 1e4 that test_against_scipy_grid sweeps to
+    @pytest.mark.parametrize("x", [2e-50, *np.geomspace(2e-50, 2e4, 37).tolist()[1:-1],
+                                   2.405, 7.9, 8.1, 129.5, 2e4])
+    def test_matches_scalar_loop_bit_for_bit(self, x):
+        tops = {0, 1, 2 * alias_cutoff(x / 2) + 3, 2 * alias_cutoff(1e4) + 3}
+        for top in sorted(tops):
+            assert np.array_equal(_miller_sweep(x, top), miller_sweep_scalar_loop(x, top))
 
 
 class TestCoeffC:

@@ -45,8 +45,10 @@ VALIDATION_ERROR = 1
 BROKEN_PIPE = 141  # 128 + SIGPIPE, the code of a shell pipeline's killed writer
 
 
-# Largest sweep grid: each point builds one coefficient table, so the
-# ceiling bounds the run time (see the README for measured times).
+# Largest sweep grid: each point builds one coefficient table of N//2 + 1
+# rows (alias_cutoff(a) + 1 once N//2 reaches the cutoff), which every mode
+# at that point reads, so the ceiling bounds the run time (see the README
+# for measured times).
 _MAX_GRID_POINTS = 10**4
 
 # Rows per ``%`` call: bounds the writer's Python objects, whatever the row count.

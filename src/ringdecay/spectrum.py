@@ -21,11 +21,15 @@ independent routes compute the same spectrum:
 The aliased sum and the transform agree to 1e-8 per mode; their
 equivalence over a parameter grid is the package's central invariant.
 
-The coefficients come from ``coeff_table``'s default route, the closed
-forms evaluated by one Bessel recurrence at Z = 2a; the power series in
-``specfun`` is their independent second route.  One table per (a,
-cutoff) serves every spectrum and single-winding rate at that a, held in
-the module's one cache.
+The coefficients are the closed forms evaluated by one Bessel
+recurrence at Z = 2a; the power series in ``specfun`` is their
+independent second route.  The module's one cache holds the tables.
+Every spectrum at a reads the table of depth ``alias_cutoff(a)``, built
+by ``coeff_table``.  A single-winding rate reads only row |k| <= N/2, so
+the rates of an (N, a) share the table of depth min(N//2, alias_cutoff(a));
+a mode past the cutoff reads its own table of depth |k|.  Below the
+cutoff the shared table is shallower, and its recurrence starts near
+max(N, 2a) instead of near 2 alias_cutoff(a).
 
 Asymptotic companions: the single-winding (continuum-limit) rate
 N c_k(a), the even-N subradiant edge rate with its exponential estimate,
@@ -42,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .ring_model import ModelKind, RingConfig, coupling_matrix, lattice_conversion
-from .specfun import (_MAX_COEFF_ORDER, CoefficientTable, _check_integer, alias_cutoff,
-                      coeff_c, coeff_table)
+from .specfun import (_MAX_COEFF_ORDER, CoefficientTable, _check_integer, _coeff_closed_form,
+                      alias_cutoff, coeff_c, coeff_table)
 
 __all__ = [
     "DecaySpectrum",
@@ -85,6 +89,14 @@ class DecaySpectrum:
 
 @lru_cache(maxsize=128)
 def _cached_table(a: float, n_max: int) -> CoefficientTable:
+    """Rows 0..n_max at a validated a; the module's one table cache.
+
+    A table below ``alias_cutoff(a)`` is a single-winding rate's short
+    table.  It misses sum-rule weight by design, so it is built straight
+    from the closed forms, without ``coeff_table``'s truncation warning.
+    """
+    if n_max < alias_cutoff(a):
+        return CoefficientTable(a, n_max, *_coeff_closed_form(a, n_max))
     return coeff_table(a, n_max)
 
 
@@ -144,12 +156,14 @@ def continuous_limit_rate(n_atoms: int, a: float, k: int,
 
     Keeps only the principal term of the aliased sum, which is the whole
     sum whenever the alias cutoff stays below N - |k|.  Passing an
-    aligned-dipole ``model`` selects the matching c/d combination.
+    aligned-dipole ``model`` selects the matching c/d combination.  The
+    rate reads the cached table of depth max(|k|, min(N//2, alias_cutoff(a))),
+    which every mode |k| <= alias_cutoff(a) of the ring at this a shares.
     """
     config = RingConfig(n_atoms, a)
     k = _check_mode_index(k, config.n_atoms)
     a = config.size_parameter
-    table = _cached_table(a, max(k, alias_cutoff(a)))
+    table = _cached_table(a, max(k, min(config.n_atoms // 2, alias_cutoff(a))))
     if model is None:
         model = ModelKind.scalar()
     return config.n_atoms * float(_harmonic_rates(table, k, model))

@@ -13,7 +13,7 @@ from ringdecay import cli
 from ringdecay.cli import main
 from ringdecay.ring_model import ModelKind, RingConfig
 from ringdecay.specfun import coeff_table
-from ringdecay.spectrum import analytic_spectrum, oracle_spectrum
+from ringdecay.spectrum import _cached_table, analytic_spectrum, oracle_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -472,6 +472,33 @@ class TestSweep:
         assert len(rows) == int(points)
         assert rows[0][0] == format(float(grid_min), ".17g")
         assert rows[-1][0] == format(float(grid_max), ".17g")
+
+    @pytest.mark.parametrize("points", [2, 7, 50])
+    def test_one_table_per_grid_point(self, capsys, monkeypatch, points):
+        # the four rows at a grid point share one table of N//2 + 1 = 6 rows
+        depths = []
+
+        def recorded(a, n_max):
+            table = _cached_table(a, n_max)
+            depths.append(table.n_max)
+            return table
+
+        monkeypatch.setattr("ringdecay.spectrum._cached_table", recorded)
+        _cached_table.cache_clear()
+        code, out, err = run_cli(capsys, "sweep", "--n-atoms", "10", "--k", "0,1,2,4",
+                                 "--grid-points", str(points))
+        assert (code, err) == (0, "")
+        info = _cached_table.cache_info()
+        assert (info.misses, info.hits) == (points, 3 * points)
+        assert depths == [5] * (4 * points)
+
+    def test_short_tables_are_silent_at_large_a(self, capsys):
+        # the grid reaches a = 1200, far below the depth where the sum rules close
+        assert cli._a_from_lambda_over_d(60, 0.05) > 1000.0
+        code, out, err = run_cli(capsys, "sweep", "--n-atoms", "60", "--grid-min", "0.05",
+                                 "--grid-max", "0.1", "--grid-points", "20")
+        assert (code, err) == (0, "")
+        assert len(csv_rows(out)[1]) == 80
 
     def test_invalid_k(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n-atoms", "10", "--k", "0,7")

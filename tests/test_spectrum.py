@@ -248,6 +248,27 @@ class TestContinuousLimit:
         v = continuous_limit_rate(12, 4.0, 3, model=ModelKind.vectorial(MAGIC_DELTA))
         assert v == pytest.approx(continuous_limit_rate(12, 4.0, 3), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 10, 12, 20, 64, 199])
+    def test_short_table_matches_cutoff_table(self, n):
+        # Where N//2 < alias_cutoff(a) the rate reads a table of only N//2 + 1
+        # rows, whose c_k and d_k match the cutoff-depth table's to 4 eps.  The
+        # grid ends at a = 1e4, where a short table through coeff_table would
+        # raise its truncation UserWarning.
+        eps = np.finfo(float).eps
+        for a in np.geomspace(1e-3, 1e4).tolist():
+            ref = coeff_table(a, max(alias_cutoff(a), n // 2))
+            for delta in (None, 0.0, math.pi / 4, math.pi / 2):
+                model = ModelKind.scalar() if delta is None else ModelKind.vectorial(delta)
+                for k in range(n // 2 + 1):
+                    c, d = ref.c_at(k), ref.d_at(k)
+                    if delta is None:
+                        expect = n * c
+                    else:
+                        cos2 = math.cos(delta) ** 2
+                        expect = n * 0.75 * ((1.0 + cos2) * c + (1.0 - 3.0 * cos2) * d)
+                    got = continuous_limit_rate(n, a, k, model=model)
+                    assert abs(got - expect) <= 4.0 * eps * n, (a, delta, k)
+
     def test_k_range_validation(self):
         with pytest.raises(ValueError):
             continuous_limit_rate(10, 1.0, 6)

@@ -25,7 +25,10 @@ memory, with entry (j, m) equal to row[(m - j) mod N].
 
 ``RingConfig`` and ``ModelKind`` are the argument boundary: every public
 function that takes an atom count, a size parameter or a tilt angle
-validates it through them (or through ``lattice_conversion``).
+validates it through them (or through ``lattice_conversion``).  The
+public kernels check their separation and tilt; ``coupling_matrix``
+runs the same private kernels on chords built from a validated
+``RingConfig`` and ``ModelKind``, without checking them again.
 """
 
 from __future__ import annotations
@@ -114,12 +117,21 @@ class ModelKind:
         return "scalar"
 
 
-def scalar_gamma_kernel(x):
-    """Scalar pair decay rate sin(x)/x, continued to 1 at x = 0."""
+def _check_separation(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("separation must be finite")
-    out = np.sinc(x / np.pi)
+    return x
+
+
+def _scalar_kernel(x: np.ndarray):
+    """sin(x)/x at finite x, 1 at x = 0."""
+    return np.sinc(x / np.pi)
+
+
+def scalar_gamma_kernel(x):
+    """Scalar pair decay rate sin(x)/x, continued to 1 at x = 0."""
+    out = _scalar_kernel(_check_separation(x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -139,14 +151,18 @@ def _j1_over_x(x: np.ndarray, sinc: np.ndarray) -> np.ndarray:
     return np.where(x < 0.1, series, direct)
 
 
+def _vector_kernel(x: np.ndarray, delta: float):
+    """The aligned-dipole kernel at finite x and a tilt delta in [0, pi/2]."""
+    sinc = _scalar_kernel(x)
+    sin2 = math.sin(delta) ** 2
+    cos2 = math.cos(delta) ** 2
+    return 1.5 * (sin2 * sinc + (3.0 * cos2 - 1.0) * _j1_over_x(x, sinc))
+
+
 def vector_gamma_kernel(x, delta: float):
     """Aligned-dipole pair decay rate at tilt angle delta, 1 at x = 0."""
     delta = ModelKind.vectorial(delta).delta
-    sinc = scalar_gamma_kernel(x)  # checks x is finite
-    x = np.asarray(x, dtype=float)
-    sin2 = math.sin(delta) ** 2
-    cos2 = math.cos(delta) ** 2
-    out = 1.5 * (sin2 * sinc + (3.0 * cos2 - 1.0) * _j1_over_x(x, sinc))
+    out = _vector_kernel(_check_separation(x), delta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -154,14 +170,17 @@ def coupling_matrix(config: RingConfig, model: ModelKind) -> np.ndarray:
     """The N x N decay matrix as its generating first row.
 
     Entry (j, m) of the circulant matrix is row[(m - j) mod N].  The
-    kernel is evaluated once per distinct separation s = 0..N//2.
+    kernel is evaluated once per distinct separation s = 0..N//2.  Those
+    chords are finite and the tilt in range, because ``config`` and
+    ``model`` validated a and delta, so the kernels run without the
+    public functions' re-checks.
     """
     n = config.n_atoms
     seps = 2.0 * config.size_parameter * np.sin(np.pi * np.arange(n // 2 + 1) / n)
     if model.is_vectorial:
-        half = vector_gamma_kernel(seps, model.delta)
+        half = _vector_kernel(seps, model.delta)
     else:
-        half = scalar_gamma_kernel(seps)
+        half = _scalar_kernel(seps)
     half[0] = 1.0  # diagonal is exactly the single-emitter rate
     # N - s is the chord of s: the mirror makes the row, so the matrix, symmetric to the bit
     return np.concatenate((half, half[(n - 1) // 2:0:-1]))

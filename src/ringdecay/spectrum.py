@@ -84,7 +84,7 @@ class DecaySpectrum:
         return np.arange(-(n // 2), (n + 1) // 2)
 
     def trace(self) -> float:
-        return float(math.fsum(self.rates))
+        return math.fsum(self.rates.tolist())
 
 
 @lru_cache(maxsize=128)
@@ -170,11 +170,14 @@ def continuous_limit_rate(n_atoms: int, a: float, k: int,
 
 
 class SubradiantEdge(NamedTuple):
-    """Edge-mode (k = N/2) decay rate and its exponential estimate.
+    """Single-winding edge-mode (k = N/2) rate and its exponential estimate.
 
-    ``exact`` evaluates N c_{N/2} at the large-N spacing a = N d/lambda;
-    ``exact_ring`` uses the exact ring conversion of the same spacing,
-    exposing the error of that large-N shortcut.
+    ``exact`` and ``exact_ring`` are the single-winding term N c_{N/2}, not
+    the spectrum's edge rate: the edge mode has the two aliases +-N/2, so
+    ``analytic_spectrum(...).rate(N // 2)`` at the same a is 2 N c_{N/2},
+    twice the field.  ``exact`` evaluates the term at the large-N spacing
+    a = N d/lambda; ``exact_ring`` uses the exact ring conversion of the
+    same spacing, exposing the error of that large-N shortcut.
     """
 
     exact: float

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ring_model import ModelKind, RingConfig, lattice_conversion
-from .specfun import coeff_c, coeff_d, coeff_table, series_admitted
+# Nothing here calls coeff_c or coeff_d: benchmarks/spans.py looks them up
+# on this module to trace them.
+from .specfun import coeff_c, coeff_d, coeff_table, series_admitted  # noqa: F401
 from .spectrum import analytic_spectrum, continuous_limit_rate, oracle_spectrum, subradiant_edge
 
 __all__ = ["CheckResult", "run_checks", "format_report", "all_passed"]
@@ -73,28 +75,36 @@ def _check(name: str, requirement: str, tolerance: float, pairs) -> CheckResult:
 def _check_grid() -> tuple[list[CheckResult], CheckResult]:
     """The four spectrum checks and the magic-angle check, in one grid pass.
 
-    Each (config, model) spectrum is built once per route, and the scalar
-    analytic spectrum is reused as the magic-angle reference.
+    Each (config, model) spectrum is built once per route through the
+    public ``analytic_spectrum`` and ``oracle_spectrum``.  For each N the
+    rates of every (a, model, route) are stacked into one array, so each
+    measure is one axis reduction per N, and the (value, label) pairs come
+    out in (N, a, model, route) grid order, as ``_check``'s tie rule reads
+    them.  The trace is an exactly rounded ``math.fsum`` per spectrum.  The
+    scalar analytic spectrum is reused as the magic-angle reference.
     """
     magic_model = ModelKind.vectorial(MAGIC_DELTA)
+    model_labels = [model.label() for model in GRID_MODELS]
     diff, trace, neg, sym, magic = [], [], [], [], []
     for n in GRID_N:
         mirror = -np.arange(n) % n  # k -> N-k, with 0 -> 0
+        rates, tilted = [], []  # rates[a][model][route], tilted[a]
         for a in GRID_A:
             config = RingConfig(n, a)
-            for model in GRID_MODELS:
-                ana = analytic_spectrum(config, model)
-                orc = oracle_spectrum(config, model)
-                label = f"(N={n}, a={a}, {model.label()})"
-                diff.append((float(np.max(np.abs(ana.rates - orc.rates))), label))
-                for spec in (ana, orc):
-                    trace.append((abs(spec.trace() - n), label))
-                    neg.append((max(0.0, -float(np.min(spec.rates))), label))
-                    sym.append((float(np.max(np.abs(spec.rates - spec.rates[mirror]))), label))
-                if not model.is_vectorial:
-                    scalar = ana.rates
-            tilted = analytic_spectrum(config, magic_model).rates
-            magic.append((float(np.max(np.abs(tilted - scalar))), f"(N={n}, a={a})"))
+            rates.append([(analytic_spectrum(config, model).rates,
+                           oracle_spectrum(config, model).rates) for model in GRID_MODELS])
+            tilted.append(analytic_spectrum(config, magic_model).rates)
+        rates = np.array(rates)  # (a, model, route, mode)
+        labels = [f"(N={n}, a={a}, {m})" for a in GRID_A for m in model_labels]
+        twice = [label for label in labels for _ in range(2)]  # one per route
+        diff += zip(np.max(np.abs(rates[:, :, 0] - rates[:, :, 1]), axis=2).ravel().tolist(),
+                    labels)
+        trace += zip([abs(math.fsum(row) - n) for row in rates.reshape(-1, n).tolist()], twice)
+        neg += zip([max(0.0, -low) for low in np.min(rates, axis=3).ravel().tolist()], twice)
+        sym += zip(np.max(np.abs(rates - rates[..., mirror]), axis=3).ravel().tolist(), twice)
+        scalar = rates[:, 0, 0]  # GRID_MODELS[0] is the scalar model
+        magic += zip(np.max(np.abs(np.array(tilted) - scalar), axis=1).tolist(),
+                     [f"(N={n}, a={a})" for a in GRID_A])
     return [
         _check("oracle-equivalence", "max |Δ| < 1e-8", 1e-8, diff),
         _check("trace-sum-rule", "max |sum_k rate_k - N| < 1e-9", 1e-9, trace),
@@ -157,16 +167,21 @@ def _check_continuous_limit() -> CheckResult:
 
 
 def _check_methods() -> CheckResult:
-    """Series against quadrature; one quadrature table per a serves every admitted n."""
+    """Series against quadrature, one whole table of rows 0..64 per a.
+
+    The series is admitted while a^2 < |n| + 40, so each listed a admits
+    either every row 0..64 (a <= 5) or none (a = 20 and 50, which add no
+    pair).  For an admitted a, ``coeff_table(a, 64, "series")`` is compared
+    with the quadrature table elementwise: the same series and closed-form
+    values as one ``coeff_c``/``coeff_d`` call per (n, a).
+    """
     pairs = []
     for a in (0.0, 0.1, 1.0, 5.0, 20.0, 50.0):
-        # rows for every n the series may admit, and past the plateau edge at n ~ a
-        table = coeff_table(a, max(64, math.ceil(a) + 20))
-        for n in range(0, 65):
-            if series_admitted(n, a):
-                dc = abs(coeff_c(n, a, "series") - table.c_at(n))
-                dd = abs(coeff_d(n, a, "series") - table.d_at(n))
-                pairs.append((max(dc, dd), f"(n={n}, a={a})"))
+        if not series_admitted(0, a):  # admission widens with |n|: row 0 decides
+            continue
+        series, table = coeff_table(a, 64, "series"), coeff_table(a, 64)
+        worst = np.maximum(np.abs(series.c - table.c), np.abs(series.d - table.d))
+        pairs += [(x, f"(n={n}, a={a})") for n, x in enumerate(worst.tolist())]
     return _check("method-cross-check", "series vs quadrature < 1e-9 where admitted", 1e-9,
                   pairs)
 

@@ -151,6 +151,22 @@ class TestCouplingMatrix:
                     expect = scalar_gamma_kernel(x)
                 assert row[m] == pytest.approx(expect, abs=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 101])
+    @pytest.mark.parametrize("model", [*GRID_MODELS, ModelKind.vectorial(MAGIC_DELTA)],
+                             ids=lambda m: m.label())
+    def test_row_is_the_public_kernels_bit_for_bit(self, n, model):
+        # the matrix runs the kernels unchecked on its chords; a = 1e-3 keeps
+        # every chord in the aligned kernel's x < 0.1 series branch
+        for a in (1e-3, 0.4, 3.7, 50.0):
+            chords = 2.0 * a * np.sin(np.pi * np.arange(n // 2 + 1) / n)
+            if model.is_vectorial:
+                half = vector_gamma_kernel(chords, model.delta)
+            else:
+                half = scalar_gamma_kernel(chords)
+            half[0] = 1.0  # the diagonal
+            expect = np.concatenate((half, half[(n - 1) // 2:0:-1]))  # N - s mirrors s
+            assert np.array_equal(coupling_matrix(RingConfig(n, a), model), expect)
+
     def test_antipodal_pair_is_a_diameter_apart(self):
         row = coupling_matrix(RingConfig(2, 3.0), ModelKind.scalar())
         assert row[1] == scalar_gamma_kernel(6.0)

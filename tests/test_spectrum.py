@@ -22,6 +22,7 @@ from ringdecay import (
     coeff_table,
     continuous_limit_rate,
     large_a_vector_estimate,
+    lattice_conversion,
     oracle_spectrum,
     subradiant_edge,
 )
@@ -199,6 +200,15 @@ class TestSpectrumInvariants:
             for k in range(n):
                 assert spec.rate(k) == pytest.approx(spec.rate(n - k), abs=1e-12)
 
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label())
+    def test_trace_is_the_exact_sum_of_the_rates(self, model):
+        for n, a in [(2, 0.0), (10, 1.0), (101, 3.7), (4096, 50.0)]:
+            for path in (analytic_spectrum, oracle_spectrum):
+                spec = path(RingConfig(n, a), model)
+                trace = spec.trace()
+                assert type(trace) is float
+                assert trace == math.fsum([float(rate) for rate in spec.rates])
+
     def test_signed_view(self):
         spec = analytic_spectrum(RingConfig(10, 2.0), ModelKind.scalar())
         assert spec.signed_indices().tolist() == list(range(-5, 5))
@@ -296,6 +306,14 @@ class TestSubradiantEdge:
     def test_exact_is_coefficient_rate(self):
         edge = subradiant_edge(12, 0.25)
         assert edge.exact == pytest.approx(12.0 * coeff_c(6, 3.0), abs=1e-15)
+
+    @pytest.mark.parametrize("n, d", [(16, 0.3), (24, 0.3), (100, 0.1)])
+    def test_fields_are_half_the_spectrum_edge_rate(self, n, d):
+        # the edge mode has the two aliases +-N/2; each field is one of them
+        edge = subradiant_edge(n, d)
+        for a, field in ((n * d, edge.exact), (lattice_conversion(n, d), edge.exact_ring)):
+            rate = analytic_spectrum(RingConfig(n, a), ModelKind.scalar()).rate(n // 2)
+            assert rate / field == pytest.approx(2.0, rel=1e-14, abs=0.0)
 
     def test_vanishes_with_spacing(self):
         edge = subradiant_edge(10, 1e-3)

@@ -2,8 +2,12 @@
 
 import math
 
-from ringdecay import coeff_c, coeff_d, coeff_table, series_admitted, validation
-from ringdecay.validation import CheckResult, _check, _check_methods, format_report, run_checks
+import numpy as np
+
+from ringdecay import (ModelKind, RingConfig, analytic_spectrum, coeff_c, coeff_d, coeff_table,
+                       oracle_spectrum, series_admitted, validation)
+from ringdecay.validation import (CheckResult, _check, _check_grid, _check_methods,
+                                  format_report, run_checks)
 
 # (name, requirement, tolerance), in report order
 CHECKS = [
@@ -61,33 +65,51 @@ class TestWorst:
         assert _check("c", "r", 1.0, pairs) == CheckResult("c", "r", 2.0, 1.0, "(b)")
 
 
-def test_method_check_reads_one_table_per_a(monkeypatch):
-    tables = []
+def per_spectrum_grid():
+    """The grid checks as one loop per spectrum, each measure reduced on its own."""
+    magic_model = ModelKind.vectorial(validation.MAGIC_DELTA)
+    diff, trace, neg, sym, magic = [], [], [], [], []
+    for n in validation.GRID_N:
+        mirror = -np.arange(n) % n
+        for a in validation.GRID_A:
+            config = RingConfig(n, a)
+            for model in validation.GRID_MODELS:
+                ana = analytic_spectrum(config, model)
+                orc = oracle_spectrum(config, model)
+                label = f"(N={n}, a={a}, {model.label()})"
+                diff.append((float(np.max(np.abs(ana.rates - orc.rates))), label))
+                for spec in (ana, orc):
+                    trace.append((abs(math.fsum(float(r) for r in spec.rates) - n), label))
+                    neg.append((max(0.0, -float(np.min(spec.rates))), label))
+                    sym.append((float(np.max(np.abs(spec.rates - spec.rates[mirror]))), label))
+                if not model.is_vectorial:
+                    scalar = ana.rates
+            tilted = analytic_spectrum(config, magic_model).rates
+            magic.append((float(np.max(np.abs(tilted - scalar))), f"(N={n}, a={a})"))
+    return [_check(name, req, tol, pairs)
+            for (name, req, tol), pairs in zip(CHECKS[:4], (diff, trace, neg, sym))], \
+        _check(*CHECKS[12], magic)
 
-    def recording_table(a, n_max):
-        table = coeff_table(a, n_max)
-        tables.append(table)
-        return table
 
-    def series_only(coeff):
-        def call(n, a, method="quadrature"):
-            assert method == "series"
-            return coeff(n, a, method)
-        return call
+def test_stacked_grid_equals_the_per_spectrum_loop():
+    checks, magic = _check_grid()
+    expect_checks, expect_magic = per_spectrum_grid()
+    assert checks == expect_checks  # measured values and worst-case labels, exactly
+    assert magic == expect_magic
+    assert all(r.worst_case for r in [*checks, magic])
 
-    monkeypatch.setattr(validation, "coeff_table", recording_table)
-    monkeypatch.setattr(validation, "coeff_c", series_only(coeff_c))
-    monkeypatch.setattr(validation, "coeff_d", series_only(coeff_d))
-    result = _check_methods()
 
-    assert [t.a for t in tables] == [0.0, 0.1, 1.0, 5.0, 20.0, 50.0]
+def test_method_check_equals_per_coefficient_reference():
+    # each admitted (n, a): the single-coefficient series against a quadrature table at a
     pairs = []
-    for table in tables:
-        assert table.n_max >= max(64, math.ceil(table.a) + 20)
+    for a in (0.0, 0.1, 1.0, 5.0, 20.0, 50.0):
+        table = coeff_table(a, max(64, math.ceil(a) + 20))
         for n in range(65):
-            if series_admitted(n, table.a):
-                dc = abs(coeff_c(n, table.a, "series") - float(table.c[n]))
-                dd = abs(coeff_d(n, table.a, "series") - float(table.d[n]))
-                pairs.append((max(dc, dd), f"(n={n}, a={table.a})"))
-    assert result == _check(result.name, result.requirement, result.tolerance, pairs)
+            if series_admitted(n, a):
+                dc = abs(coeff_c(n, a, "series") - table.c_at(n))
+                dd = abs(coeff_d(n, a, "series") - table.d_at(n))
+                pairs.append((max(dc, dd), f"(n={n}, a={a})"))
+    assert len(pairs) == 4 * 65  # a <= 5 admits every order 0..64, a = 20 and 50 none
+    result = _check_methods()
+    assert result == _check(*CHECKS[13], pairs)
     assert result.passed

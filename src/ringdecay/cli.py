@@ -45,10 +45,12 @@ VALIDATION_ERROR = 1
 BROKEN_PIPE = 141  # 128 + SIGPIPE, the code of a shell pipeline's killed writer
 
 
-# Largest sweep grid: each point builds one coefficient table of N//2 + 1
-# rows (alias_cutoff(a) + 1 once N//2 reaches the cutoff), which every mode
-# at that point reads, so the ceiling bounds the run time (see the README
-# for measured times).
+# Largest sweep grid.  Each point runs one Miller sweep for a table of
+# N//2 + 1 rows (alias_cutoff(a) + 1 once N//2 reaches the cutoff), which
+# every mode at that point reads, and one more per mode past that depth.
+# The tables are formed a block of points at a time and never held for
+# the whole grid, so the ceiling bounds the run time, not the memory
+# (see the README for measured times and peak RSS).
 _MAX_GRID_POINTS = 10**4
 
 # Rows per ``%`` call: bounds the writer's Python objects, whatever the row count.
@@ -261,12 +263,10 @@ def cmd_sweep(args) -> int:
     ks = _parse_k_list(args.k)
     model = _model_from_args(args)
     grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
-    rates = []
-    for lam_over_d in grid:
-        a = _a_from_lambda_over_d(args.n_atoms, lam_over_d)
-        rates += [continuous_limit_rate(args.n_atoms, a, k, model=model) for k in ks]
+    a = [_a_from_lambda_over_d(args.n_atoms, lam_over_d) for lam_over_d in grid]
+    rates = continuous_limit_rate(args.n_atoms, a, ks, model=model)
     _write_csv(args.output, "lambda_over_d,k,rate",
-               np.repeat(grid, len(ks)), np.tile(ks, len(grid)), np.array(rates))
+               np.repeat(grid, len(ks)), np.tile(ks, len(grid)), rates.ravel())
     return 0
 
 

@@ -31,6 +31,11 @@ Every coefficient is computable by two independent routes:
   while its largest term cannot swamp double precision (a^2 < |n| + 40);
   outside that range it refuses instead of returning noise.
 
+The closed forms take lanes, one (a, depth) pair each: every lane runs
+its own recurrence, and one numpy pass forms c_n and d_n of a whole
+block of lanes, each with the bits it has when built alone.  A single
+table is the one-lane case.
+
 Rates and lengths are dimensionless throughout (units of the linewidth
 and of the inverse wavenumber), so no physical constants appear here.
 """
@@ -97,6 +102,13 @@ def _check_real(value, name: str) -> float:
     return float(value)
 
 
+def _miller_start(x: float, top: int) -> int:
+    """The even order where ``_miller_sweep(x, top)`` seeds its recurrence."""
+    nu = max(top, math.ceil(x))
+    start = nu + _MILLER_PAD + math.ceil(math.sqrt(_MILLER_ACC * (nu + 1)))
+    return start + start % 2
+
+
 def _miller_sweep(x: float, top: int) -> np.ndarray:
     """J_0(x) .. J_start(x) at one point x > 0, with start > top.
 
@@ -108,9 +120,7 @@ def _miller_sweep(x: float, top: int) -> np.ndarray:
     rescaled after the loop.  Only the last two rescales are applied there:
     a value at most 1e250 rescaled twice is already 0.0.
     """
-    nu = max(top, math.ceil(x))
-    start = nu + _MILLER_PAD + math.ceil(math.sqrt(_MILLER_ACC * (nu + 1)))
-    start += start % 2
+    start = _miller_start(x, top)
     jp, jc = 0.0, 1e-30  # j_{m+1}, j_m, seeded at m = start
     vals = [jc]  # j_start, j_{start-1}, ..., reversed after the loop
     rescaled = []  # orders m whose stored values j[m:] missed a rescale
@@ -127,7 +137,7 @@ def _miller_sweep(x: float, top: int) -> np.ndarray:
     j = np.array(vals)
     for m in rescaled[-2:]:
         j[m:] *= _RESCALE
-    return j / (j[0] + 2.0 * math.fsum(j[2::2]))
+    return j / (j[0] + 2.0 * math.fsum(j[2::2].tolist()))
 
 
 def series_admitted(n: int, a: float) -> bool:
@@ -170,23 +180,70 @@ def _coeff_series(n: int, a: float, moment: int) -> float:
             raise RuntimeError("coefficient series failed to converge")
 
 
-def _coeff_closed_form(a: float, n_max: int):
-    """c_n(a) and d_n(a) for n = 0..n_max from one Miller sweep at Z = 2a."""
-    if a < _A_TINY:  # the a = 0 values
-        c = np.zeros(n_max + 1)
-        c[0] = 1.0
-        d = np.zeros(n_max + 1)
-        d[0] = 1.0 / 3.0
-        return c, d
+# Largest padded lane array, in elements (512 KiB of float64), that one block
+# of ``_closed_form_blocks`` holds; a lane wider than that is a block alone.
+_LANE_BLOCK_ELEMENTS = 2**16
+
+
+def _closed_form_lanes(lanes, width: int):
+    """c_n(a) and d_n(a), n = 0..max depth, of each lane (a, depth) in one pass.
+
+    Each lane with a >= _A_TINY runs its own ``_miller_sweep(2a, 2 depth + 3)``,
+    the sweep of a one-lane table, into a row of one zero-padded array
+    ``width`` orders wide.  The tail sums run from the top order down, so
+    the padded orders add 0.0 before the first real term, and every lane
+    keeps the bits of its one-lane table.  Row i holds lane i's c_n and d_n
+    in columns 0..depth; later columns are not its coefficients.
+    """
+    n_max = max(depth for _, depth in lanes)
+    j = np.zeros((len(lanes), width))
+    tiny = []
+    for i, (a, depth) in enumerate(lanes):
+        if a < _A_TINY:
+            tiny.append(i)
+        else:
+            sweep = _miller_sweep(2.0 * a, 2 * depth + 3)
+            j[i, :len(sweep)] = sweep
+    # a and z^3 per lane, z^3 by Python's pow as a scalar z**3 has it; 1.0 keeps a = 0 finite
+    a, z3 = np.array([(x, (2.0 * x)**3) if x >= _A_TINY else (1.0, 8.0)
+                      for x, _ in lanes]).T[:, :, None]
     z = 2.0 * a
-    j = _miller_sweep(z, 2 * n_max + 3)
     # tail[i] = sum_{k>=0} J_{2i+2k+1}(Z), summed from the smallest terms up
-    tail = np.cumsum(j[1::2][::-1])[::-1]
-    c = tail[:n_max + 1] / a
+    tail = np.cumsum(j[:, 1::2][:, ::-1], axis=1)[:, ::-1]
+    c = tail[:, :n_max + 1] / a
     nu = np.arange(0.0, 2 * n_max + 1, 2.0)
-    d = ((nu - 1.0) * (2.0 * (nu + 1.0) * tail[1:n_max + 2] + z * j[2:2 * n_max + 3:2])
-         + z * z * j[1:2 * n_max + 2:2]) / z**3
+    d = ((nu - 1.0) * (2.0 * (nu + 1.0) * tail[:, 1:n_max + 2] + z * j[:, 2:2 * n_max + 3:2])
+         + z * z * j[:, 1:2 * n_max + 2:2]) / z3
+    for i in tiny:  # the a = 0 values
+        c[i], d[i] = 0.0, 0.0
+        c[i, 0], d[i, 0] = 1.0, 1.0 / 3.0
     return c, d
+
+
+def _closed_form_blocks(a_values, depths):
+    """Yield (c, d) of the lanes (a, depth), in order, a block of lanes at a time.
+
+    A block takes lanes while its padded array, as wide as its widest
+    sweep, stays within ``_LANE_BLOCK_ELEMENTS``; ``_closed_form_lanes``
+    forms the block's c_n and d_n in one numpy pass.
+    """
+    block, width = [], 0
+    for a, depth in zip(a_values, depths):
+        # a sweep fills orders 0..start; 2 depth + 4 orders feed the closed forms
+        lane_width = 2 * depth + 4 if a < _A_TINY else _miller_start(2.0 * a, 2 * depth + 3) + 1
+        if block and (len(block) + 1) * max(width, lane_width) > _LANE_BLOCK_ELEMENTS:
+            yield _closed_form_lanes(block, width)
+            block, width = [], 0
+        block.append((a, depth))
+        width = max(width, lane_width)
+    if block:
+        yield _closed_form_lanes(block, width)
+
+
+def _coeff_closed_form(a: float, n_max: int):
+    """c_n(a) and d_n(a) for n = 0..n_max: the one-lane case of the lane blocks."""
+    c, d = next(_closed_form_blocks([a], [n_max]))
+    return c[0], d[0]
 
 
 def _check_a_and_method(a, method) -> float:
@@ -262,7 +319,11 @@ def alias_cutoff(a: float) -> int:
     a^(1/3) (DLMF 10.20), so every discarded c_n and d_n stays below 1e-17
     for 0 <= a <= 1e4.
     """
-    a = _check_size_parameter(a)
+    return _alias_cutoff(_check_size_parameter(a))
+
+
+def _alias_cutoff(a: float) -> int:
+    """``alias_cutoff`` of an a that its caller has already validated."""
     return int(math.ceil(a + 5.0 * a ** (1.0 / 3.0))) + 40
 
 
@@ -291,7 +352,7 @@ def coeff_table(a: float, n_max: int, method: str = "quadrature") -> Coefficient
     else:
         c, d = _coeff_closed_form(a, n_max)
     table = CoefficientTable(a=a, n_max=n_max, c=c, d=d)
-    cutoff = alias_cutoff(a)
+    cutoff = _alias_cutoff(a)
     if n_max < cutoff:
         miss_c = table.c_sum() - 1.0
         miss_d = table.d_sum() - 1.0 / 3.0

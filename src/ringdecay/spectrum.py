@@ -23,13 +23,16 @@ equivalence over a parameter grid is the package's central invariant.
 
 The coefficients are the closed forms evaluated by one Bessel
 recurrence at Z = 2a; the power series in ``specfun`` is their
-independent second route.  The module's one cache holds the tables.
-Every spectrum at a reads the table of depth ``alias_cutoff(a)``, built
-by ``coeff_table``.  A single-winding rate reads only row |k| <= N/2, so
-the rates of an (N, a) share the table of depth min(N//2, alias_cutoff(a));
+independent second route.  Every spectrum at a reads the table of depth
+``alias_cutoff(a)``, built by ``coeff_table`` and held in the module's
+one cache.  A single-winding rate reads only row |k| <= N/2, so the
+rates of an (N, a) share the table of depth min(N//2, alias_cutoff(a));
 a mode past the cutoff reads its own table of depth |k|.  Below the
 cutoff the shared table is shallower, and its recurrence starts near
-max(N, 2a) instead of near 2 alias_cutoff(a).
+max(N, 2a) instead of near 2 alias_cutoff(a).  Those tables are not
+cached: ``continuous_limit_rate`` takes whole sequences of a and k and
+builds one closed-form lane per distinct (a, depth), a block of lanes
+per numpy pass, with the bits of a one-lane table.
 
 Asymptotic companions: the single-winding (continuum-limit) rate
 N c_k(a), the even-N subradiant edge rate with its exponential estimate,
@@ -45,9 +48,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ring_model import ModelKind, RingConfig, coupling_matrix, lattice_conversion
-from .specfun import (_MAX_COEFF_ORDER, CoefficientTable, _check_integer, _coeff_closed_form,
-                      alias_cutoff, coeff_c, coeff_table)
+from .ring_model import ModelKind, RingConfig, _check_n_atoms, coupling_matrix, lattice_conversion
+from .specfun import (_MAX_COEFF_ORDER, CoefficientTable, _alias_cutoff, _check_integer,
+                      _check_size_parameter, _closed_form_blocks, coeff_c, coeff_table)
 
 __all__ = [
     "DecaySpectrum",
@@ -88,37 +91,29 @@ class DecaySpectrum:
 
 
 @lru_cache(maxsize=128)
-def _cached_table(a: float, n_max: int) -> CoefficientTable:
-    """Rows 0..n_max at a validated a; the module's one table cache.
-
-    A table below ``alias_cutoff(a)`` is a single-winding rate's short
-    table.  It misses sum-rule weight by design, so it is built straight
-    from the closed forms, without ``coeff_table``'s truncation warning.
-    """
-    if n_max < alias_cutoff(a):
-        return CoefficientTable(a, n_max, *_coeff_closed_form(a, n_max))
-    return coeff_table(a, n_max)
+def _cached_table(a: float) -> CoefficientTable:
+    """Rows 0..alias_cutoff(a) at a validated a: the spectrum's tables, the one cache."""
+    return coeff_table(a, _alias_cutoff(a))
 
 
-def _harmonic_rates(table: CoefficientTable, orders, model: ModelKind):
-    """Rate per atom carried by harmonic ``orders`` >= 0 (index or array).
+def _harmonic_rates(c: np.ndarray, d: np.ndarray, index, model: ModelKind):
+    """Rate per atom carried by ``c[index]`` and ``d[index]``.
 
     c_n for the scalar model, the aligned-dipole mix of c_n and d_n else.
     """
-    c = table.c[orders]
     if not model.is_vectorial:
-        return c
+        return c[index]
     cos2 = math.cos(model.delta) ** 2
-    return 0.75 * ((1.0 + cos2) * c + (1.0 - 3.0 * cos2) * table.d[orders])
+    return 0.75 * ((1.0 + cos2) * c[index] + (1.0 - 3.0 * cos2) * d[index])
 
 
 def analytic_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
     """Spectrum from the aliased coefficient sums."""
     n = config.n_atoms
     a = config.size_parameter
-    n_cut = alias_cutoff(a)
-    orders = np.arange(-n_cut, n_cut + 1)
-    weights = _harmonic_rates(_cached_table(a, n_cut), np.abs(orders), model)
+    table = _cached_table(a)
+    orders = np.arange(-table.n_max, table.n_max + 1)
+    weights = _harmonic_rates(table.c, table.d, np.abs(orders), model)
     rates = n * np.bincount(orders % n, weights=weights, minlength=n)
     return DecaySpectrum(n_atoms=n, size_parameter=a, model=model, rates=rates)
 
@@ -150,23 +145,62 @@ def _check_mode_index(k, n_atoms: int) -> int:
     return k
 
 
-def continuous_limit_rate(n_atoms: int, a: float, k: int,
-                          model: ModelKind | None = None) -> float:
+def continuous_limit_rate(n_atoms: int, a, k, model: ModelKind | None = None):
     """Single-winding mode rate N c_k(a) (continuum / dense-ring limit).
 
     Keeps only the principal term of the aliased sum, which is the whole
     sum whenever the alias cutoff stays below N - |k|.  Passing an
-    aligned-dipole ``model`` selects the matching c/d combination.  The
-    rate reads the cached table of depth max(|k|, min(N//2, alias_cutoff(a))),
-    which every mode |k| <= alias_cutoff(a) of the ring at this a shares.
+    aligned-dipole ``model`` selects the matching c/d combination.
+
+    ``a`` is a size parameter or a 1-D sequence of them, ``k`` a mode index
+    or a sequence of them; every one is validated once.  Scalar a and k
+    give a float; otherwise the rates form an array of shape
+    (len(a), len(k)), with the axis of a scalar argument left out.
+
+    The rate at (a, k) reads the table of depth
+    max(|k|, min(N//2, alias_cutoff(a))), which every mode
+    |k| <= alias_cutoff(a) of the ring at this a shares.  The tables are
+    built uncached, one lane per distinct (a, depth), by the closed-form
+    lane blocks of ``specfun``.
     """
-    config = RingConfig(n_atoms, a)
-    k = _check_mode_index(k, config.n_atoms)
-    a = config.size_parameter
-    table = _cached_table(a, max(k, min(config.n_atoms // 2, alias_cutoff(a))))
+    n_atoms = _check_n_atoms(n_atoms)
+    a_values, a_axis = _checked_items(a, _check_size_parameter)
+    ks, k_axis = _checked_items(k, lambda x: _check_mode_index(x, n_atoms))
     if model is None:
         model = ModelKind.scalar()
-    return config.n_atoms * float(_harmonic_rates(table, k, model))
+    # Rate (a_i, |k|) reads row |k| of the table at a_i of depth
+    # max(|k|, min(N//2, alias_cutoff(a_i))).  Over the distinct |k| in
+    # rising order the depths of one a rise too, so numbering each new
+    # depth gives one lane per distinct (a, depth), in (a, depth) order,
+    # and lane numbers that never fall along the rows: each block of
+    # lanes serves one run of them.
+    orders = np.array(sorted(set(ks)), dtype=int)
+    shared = np.array([min(n_atoms // 2, _alias_cutoff(x)) for x in a_values], dtype=int)
+    depth = np.maximum(orders, shared[:, None])
+    new = np.ones(depth.shape, dtype=bool)
+    new[:, 1:] = depth[:, 1:] != depth[:, :-1]
+    lane_a = [a_values[i] for i in np.nonzero(new)[0].tolist()]
+    lane_depth = depth[new].tolist()
+    lane = np.cumsum(new, axis=None) - 1
+    rates = np.empty(lane.size)
+    start = done = 0
+    for c, d in _closed_form_blocks(lane_a, lane_depth):
+        stop = int(np.searchsorted(lane, start + len(c)))
+        col = orders[np.arange(done, stop) % len(orders)]
+        rates[done:stop] = _harmonic_rates(c, d, (lane[done:stop] - start, col), model)
+        start, done = start + len(c), stop
+    rates = rates.reshape(len(a_values), len(orders))[:, np.searchsorted(orders, ks)]
+    rates *= n_atoms
+    shape = [len(values) for values, axis in ((a_values, a_axis), (ks, k_axis)) if axis]
+    return rates.reshape(shape) if shape else float(rates[0, 0])
+
+
+def _checked_items(values, check) -> tuple[list, bool]:
+    """(checked items, whether ``values`` is a sequence) for a scalar or a 1-D sequence."""
+    ndim = np.ndim(values)
+    if ndim > 1:
+        raise ValueError(f"expected a number or a 1-D sequence, got {ndim} dimensions")
+    return ([check(x) for x in values], True) if ndim else ([check(values)], False)
 
 
 class SubradiantEdge(NamedTuple):

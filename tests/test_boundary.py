@@ -199,3 +199,39 @@ def test_n_above_ceiling_is_refused_before_any_allocation(call):
 
 def test_ceiling_is_admitted():
     assert RingConfig(10**7, 1.0).n_atoms == 10**7
+
+
+# (case, continuous_limit_rate's sequence call, the refusal of the scalar call
+# on the offending element, as it reads)
+SEQUENCE_REFUSALS = [
+    ("bool-k-element", lambda: continuous_limit_rate(10, [1.0, 2.0], [0, True]),
+     "mode index k must be an integer, got True"),
+    ("k-past-N/2", lambda: continuous_limit_rate(10, [1.0, 2.0], [0, -6]),
+     "|k| = 6 exceeds N/2 = 5.0"),
+    ("k-past-order-limit", lambda: continuous_limit_rate(10**6, [1.0], [0, 300000]),
+     "mode index |k| = 300000 exceeds supported limit 100000"),
+    ("a-above-limit", lambda: continuous_limit_rate(10, [1.0, 2e4], [0]),
+     "a = 20000.0 exceeds supported limit 10000.0"),
+    ("a-nan", lambda: continuous_limit_rate(10, np.array([1.0, math.nan]), 0),
+     "size parameter a must be finite and >= 0, got nan"),
+    ("bool-a-element", lambda: continuous_limit_rate(10, [1.0, True], [0]),
+     "size parameter a must be a real number, got True"),
+    ("n-before-a", lambda: continuous_limit_rate(1, [2e4], [True]),
+     "n_atoms must be >= 2, got 1"),
+    ("a-before-k", lambda: continuous_limit_rate(10, [1.0, -1.0], [6]),
+     "size parameter a must be finite and >= 0, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in SEQUENCE_REFUSALS],
+                         ids=[case[0] for case in SEQUENCE_REFUSALS])
+def test_sequence_refusal_is_the_scalar_refusal(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("a, k", [([[1.0, 2.0]], 0), (1.0, [[0, 1]])], ids=["a", "k"])
+def test_sequences_of_sequences_are_refused(a, k):
+    with pytest.raises(ValueError, match="1-D sequence, got 2 dimensions"):
+        continuous_limit_rate(10, a, k)

@@ -9,11 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
-from ringdecay import cli
+from ringdecay import cli, specfun
 from ringdecay.cli import main
 from ringdecay.ring_model import ModelKind, RingConfig
-from ringdecay.specfun import coeff_table
-from ringdecay.spectrum import _cached_table, analytic_spectrum, oracle_spectrum
+from ringdecay.specfun import _miller_sweep as miller_sweep
+from ringdecay.specfun import alias_cutoff, coeff_table
+from ringdecay.spectrum import analytic_spectrum, continuous_limit_rate, oracle_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -474,23 +475,68 @@ class TestSweep:
         assert rows[-1][0] == format(float(grid_max), ".17g")
 
     @pytest.mark.parametrize("points", [2, 7, 50])
-    def test_one_table_per_grid_point(self, capsys, monkeypatch, points):
-        # the four rows at a grid point share one table of N//2 + 1 = 6 rows
-        depths = []
+    def test_one_lane_per_grid_point(self, capsys, monkeypatch, points):
+        # the four rows at a grid point share one lane, a sweep for N//2 + 1 = 6 rows
+        sweeps = []
 
-        def recorded(a, n_max):
-            table = _cached_table(a, n_max)
-            depths.append(table.n_max)
-            return table
+        def recorded(x, top):
+            sweeps.append((x, top))
+            return miller_sweep(x, top)
 
-        monkeypatch.setattr("ringdecay.spectrum._cached_table", recorded)
-        _cached_table.cache_clear()
+        monkeypatch.setattr(specfun, "_miller_sweep", recorded)
         code, out, err = run_cli(capsys, "sweep", "--n-atoms", "10", "--k", "0,1,2,4",
                                  "--grid-points", str(points))
         assert (code, err) == (0, "")
-        info = _cached_table.cache_info()
-        assert (info.misses, info.hits) == (points, 3 * points)
-        assert depths == [5] * (4 * points)
+        grid = np.geomspace(0.05, 100.0, points)
+        assert sweeps == [(2.0 * cli._a_from_lambda_over_d(10, x), 13) for x in grid]
+
+    def test_one_lane_per_distinct_depth(self, capsys, monkeypatch):
+        # past alias_cutoff(a) < N//2 each |k| reads its own depth; k and -k share
+        # one, and the a < 1e-50 points at the grid's top run no sweep at all
+        tops = []
+        monkeypatch.setattr(specfun, "_miller_sweep",
+                            lambda x, top: tops.append(top) or miller_sweep(x, top))
+        code, _, err = run_cli(capsys, "sweep", "--n-atoms", "300", "--k=-150,0,1,100,150",
+                               "--grid-min", "1", "--grid-max", "1e60", "--grid-points", "40")
+        assert (code, err) == (0, "")
+        a_values = [cli._a_from_lambda_over_d(300, x) for x in np.geomspace(1.0, 1e60, 40)]
+        expected = []
+        for a in a_values:
+            if a >= specfun._A_TINY:
+                shared = min(150, alias_cutoff(a))
+                expected += [2 * depth + 3 for depth in sorted({max(k, shared)
+                                                                for k in (0, 1, 100, 150)})]
+        assert tops == expected
+        assert min(a_values) < specfun._A_TINY and {2 * 100 + 3, 2 * 150 + 3} <= set(tops)
+
+    @pytest.mark.parametrize("argv", [
+        ("--n-atoms", "2", "--k", "0,1", "--grid-points", "9"),
+        ("--n-atoms", "3", "--k=-1,0,1", "--grid-points", "9", "--model", "vector",
+         "--delta", "0.4"),
+        ("--n-atoms", "10", "--grid-points", "50"),
+        ("--n-atoms", "90", "--k", "0,10,44,45", "--grid-max", "1e60", "--grid-points", "40"),
+        ("--n-atoms", "300", "--k=-150,-100,0,1,77,150", "--grid-points", "60",
+         "--model", "vector", "--delta", "1.1"),
+        ("--n-atoms", "300", "--k", "0,150", "--grid-min", "1", "--grid-max", "1e60",
+         "--grid-points", "12"),
+        ("--n-atoms", "400", "--k", "0,1,200", "--grid-min", "0.0401", "--grid-max", "0.05",
+         "--grid-points", "4", "--model", "vector", "--delta", "0.2"),
+    ], ids=["N=2", "N=3-vector", "N=10", "N=90-past-cutoff", "N=300-vector",
+            "N=300-grid-max-1e60", "N=400-a-near-1e4"])
+    def test_equals_the_scalar_rate_loop(self, capsys, argv):
+        # the reference is the loop the one sequence call replaced: one scalar
+        # continuous_limit_rate call per row, written with per-cell formatting
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert (code, err) == (0, "")
+        args = cli._PARSER.parse_args(["sweep", *argv])
+        ks, model = cli._parse_k_list(args.k), cli._model_from_args(args)
+        grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
+        rates = []
+        for lam_over_d in grid:
+            a = cli._a_from_lambda_over_d(args.n_atoms, lam_over_d)
+            rates += [continuous_limit_rate(args.n_atoms, a, k, model=model) for k in ks]
+        columns = (np.repeat(grid, len(ks)), np.tile(ks, len(grid)), np.array(rates))
+        assert out == "\n".join(reference_lines("lambda_over_d,k,rate", columns)) + "\n"
 
     def test_short_tables_are_silent_at_large_a(self, capsys):
         # the grid reaches a = 1200, far below the depth where the sum rules close
@@ -608,9 +654,10 @@ class TestRouteLookup:
         assert run_cli(capsys, "coeffs", "--a", "3", "--n-max", "10", "--with-d")[0] == 0
         assert calls["coeff_table"] == 1
 
-    def test_sweep_calls_one_rate_per_row(self, capsys, calls):
+    def test_sweep_calls_one_rate_per_sweep(self, capsys, calls):
+        # every row of the grid comes from one sequence call
         assert run_cli(capsys, "sweep", "--k", "0,1", "--grid-points", "2")[0] == 0
-        assert calls["continuous_limit_rate"] == 4
+        assert calls["continuous_limit_rate"] == 1
 
 
 class TestValidate:

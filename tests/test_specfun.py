@@ -74,8 +74,8 @@ def miller_sweep_scalar_loop(x, top):
 
 class TestMillerSweep:
     # _miller_sweep(x, top) is the one Bessel evaluator behind every
-    # coefficient; _coeff_closed_form calls it only at Z = 2a with
-    # 2e-50 <= Z <= 2e4 and top = 2 n_max + 3
+    # coefficient; the closed-form lanes call it only at Z = 2a with
+    # 2e-50 <= Z <= 2e4 and top = 2 depth + 3
     def test_first_j0_zero(self):
         # bracket the first sign change of the independent series near 2.4
         lo, hi = 2.0, 3.0
@@ -127,6 +127,83 @@ class TestMillerSweep:
         tops = {0, 1, 2 * alias_cutoff(x / 2) + 3, 2 * alias_cutoff(1e4) + 3}
         for top in sorted(tops):
             assert np.array_equal(_miller_sweep(x, top), miller_sweep_scalar_loop(x, top))
+
+
+def closed_form_reference(a, n_max):
+    """One table's closed forms as a single 1-D pass: the reference for the lanes."""
+    if a < specfun._A_TINY:  # the a = 0 values
+        c = np.zeros(n_max + 1)
+        c[0] = 1.0
+        d = np.zeros(n_max + 1)
+        d[0] = 1.0 / 3.0
+        return c, d
+    z = 2.0 * a
+    j = _miller_sweep(z, 2 * n_max + 3)
+    tail = np.cumsum(j[1::2][::-1])[::-1]
+    c = tail[:n_max + 1] / a
+    nu = np.arange(0.0, 2 * n_max + 1, 2.0)
+    d = ((nu - 1.0) * (2.0 * (nu + 1.0) * tail[1:n_max + 2] + z * j[2:2 * n_max + 3:2])
+         + z * z * j[1:2 * n_max + 2:2]) / z**3
+    return c, d
+
+
+# (a, depth) lanes: a = 0 and a < 1e-50 (no sweep), a = 1e-3 at top 403
+# (its sweep rescales), the a = 1e4 end with shallow and cutoff-deep
+# tables, mixed depths at one a, and two a where z*z*z and z**3 round
+# apart (z = 2a).  Three lanes at a = 1e4 outgrow one block, so the lanes
+# cross block seams.
+LANES = [(0.0, 3), (1e-60, 40), (1e-3, 200), (1e-3, 0), (0.37, 0), (5.0, 2), (5.0, 60),
+         (5.0, 5), (240.0, 6), (1e4, 5), (1e4, alias_cutoff(1e4)), (2000.0, 1), (1e4, 0),
+         (3e-50, 7), (1e4, 3), (7.9, 150), (0.0, 0), (1e4, 5), (3.0589983033553536, 9),
+         (43.27670679050534, 44)]
+
+
+class TestClosedFormLanes:
+    @pytest.mark.parametrize("a, depth", LANES)
+    def test_one_lane_equals_reference_bit_for_bit(self, a, depth):
+        c, d = specfun._coeff_closed_form(a, depth)
+        c_ref, d_ref = closed_form_reference(a, depth)
+        assert np.array_equal(c, c_ref) and np.array_equal(d, d_ref)
+
+    def test_rescaling_lane_rescales(self):
+        # the lane at a = 1e-3, depth 200 sweeps from above order 403 at x = 2e-3,
+        # and its running pair passes 1e250 more than twice on the way down
+        x, rescales = 2e-3, 0
+        jp, jc = 0.0, 1e-30
+        for m in range(specfun._miller_start(x, 403), 0, -1):
+            jp, jc = jc, m * (2.0 / x) * jc - jp
+            if abs(jc) > specfun._RESCALE_LIMIT:
+                jc, jp, rescales = jc * specfun._RESCALE, jp * specfun._RESCALE, rescales + 1
+        assert rescales > 2
+
+    @pytest.mark.parametrize("cap", [None, 1, 700, 5000])
+    def test_lanes_equal_one_lane_builds_bit_for_bit(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(specfun, "_LANE_BLOCK_ELEMENTS", cap)
+        a_values, depths = zip(*LANES)
+        blocks = list(specfun._closed_form_blocks(list(a_values), list(depths)))
+        assert len(blocks) > 1  # at least one block seam
+        rows = [(c_row, d_row) for c, d in blocks for c_row, d_row in zip(c, d)]
+        assert len(rows) == len(LANES)
+        for (a, depth), (c_row, d_row) in zip(LANES, rows):
+            c_ref, d_ref = closed_form_reference(a, depth)
+            assert np.array_equal(c_row[:depth + 1], c_ref), (a, depth)
+            assert np.array_equal(d_row[:depth + 1], d_ref), (a, depth)
+
+    def test_blocks_stay_within_the_cap(self, monkeypatch):
+        shapes = []
+        lanes = specfun._closed_form_lanes
+
+        def recorded(block, width):
+            shapes.append((len(block), width))
+            return lanes(block, width)
+
+        monkeypatch.setattr(specfun, "_closed_form_lanes", recorded)
+        a_values, depths = zip(*LANES)
+        list(specfun._closed_form_blocks(list(a_values), list(depths)))
+        assert sum(n for n, _ in shapes) == len(LANES)
+        for n, width in shapes:
+            assert n == 1 or n * width <= specfun._LANE_BLOCK_ELEMENTS
 
 
 class TestCoeffC:

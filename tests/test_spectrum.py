@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringdecay import ring_model, specfun, spectrum
 from ringdecay import (
     TOL_SUM,
     ModelKind,
@@ -279,6 +280,26 @@ class TestContinuousLimit:
                     got = continuous_limit_rate(n, a, k, model=model)
                     assert abs(got - expect) <= 4.0 * eps * n, (a, delta, k)
 
+    @pytest.mark.parametrize("model", [None, ModelKind.vectorial(0.9)], ids=["scalar", "vector"])
+    def test_sequence_forms_equal_scalar_calls(self, model):
+        # N = 300 puts |k| = 100 and 150 past alias_cutoff(a) at the small a
+        a_values, ks = [0.0, 1e-60, 0.7, 3.0, 61.0], [-150, 0, 2, 100, 150, -2]
+        rates = continuous_limit_rate(300, a_values, ks, model=model)
+        assert rates.shape == (5, 6)
+        assert rates.tolist() == [[continuous_limit_rate(300, a, k, model=model) for k in ks]
+                                  for a in a_values]
+        assert np.array_equal(continuous_limit_rate(300, 3.0, ks, model=model), rates[3])
+        assert np.array_equal(continuous_limit_rate(300, a_values, 2, model=model), rates[:, 2])
+        assert np.array_equal(continuous_limit_rate(300, np.array(a_values), np.array(ks),
+                                                    model=model), rates)
+
+    def test_sequence_shapes(self):
+        assert type(continuous_limit_rate(10, 3.0, 2)) is float
+        assert continuous_limit_rate(10, [3.0], 2).shape == (1,)
+        assert continuous_limit_rate(10, 3.0, (2,)).shape == (1,)
+        assert continuous_limit_rate(10, [], [0, 1]).shape == (0, 2)
+        assert continuous_limit_rate(10, [1.0, 2.0], []).shape == (2, 0)
+
     def test_k_range_validation(self):
         with pytest.raises(ValueError):
             continuous_limit_rate(10, 1.0, 6)
@@ -291,6 +312,44 @@ class TestContinuousLimit:
     def test_argument_validation_both_models(self, model, a, k):
         with pytest.raises(ValueError):
             continuous_limit_rate(10, a, k, model=model)
+
+
+class TestValidatedOnce:
+    """Each size parameter is checked once, at the public boundary it enters by."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = specfun._check_size_parameter
+
+        def counted(a):
+            calls.append(a)
+            return check(a)
+
+        for module in (specfun, ring_model, spectrum):
+            monkeypatch.setattr(module, "_check_size_parameter", counted)
+        spectrum._cached_table.cache_clear()
+        return calls
+
+    def test_analytic_spectrum_checks_no_a_of_its_own(self, checks):
+        config = RingConfig(12, 7.3)  # RingConfig is the boundary
+        assert checks == [7.3]
+        for model in ALL_MODELS:
+            analytic_spectrum(config, model)
+        # the one table build goes through the public coeff_table, which checks
+        # its own argument; a cached table is read with no check at all
+        assert checks == [7.3, 7.3]
+        checks.clear()
+        analytic_spectrum(config, ModelKind.scalar())
+        assert checks == []
+
+    def test_coeff_table_checks_a_once(self, checks):
+        coeff_table(7.3, 80)
+        assert checks == [7.3]
+
+    def test_continuous_limit_rate_checks_each_a_once(self, checks):
+        continuous_limit_rate(300, [0.5, 7.3, 61.0], [0, 1, 100, 150])
+        assert checks == [0.5, 7.3, 61.0]
 
 
 class TestSubradiantEdge:

@@ -69,6 +69,21 @@ class TestWriter:
         assert data.decode().split("\n") == reference_lines("n,x,y", columns) + [""]
 
 
+# Where a table stops below alias_cutoff(a) and a sum rule misses by more
+# than TOL_SUM, ``coeffs`` prints this one line to stderr and still exits 0.
+TRUNCATION_NOTES = [
+    (("--a", "50", "--n-max", "30"),
+     "note: n_max = 30 is below alias_cutoff(a) = 109; sum rules will not close at this "
+     "truncation (c-sum off by -3.912e-01, d-sum by -2.589e-01; TOL_SUM = 1e-09)\n"),
+    (("--a", "2000", "--n-max", "2040", "--with-d"),
+     "note: n_max = 2040 is below alias_cutoff(a) = 2103; sum rules will not close at this "
+     "truncation (c-sum off by -1.474e-09, d-sum by -1.471e-09; TOL_SUM = 1e-09)\n"),
+    (("--a", "5", "--n-max", "10", "--method", "series"),
+     "note: n_max = 10 is below alias_cutoff(a) = 54; sum rules will not close at this "
+     "truncation (c-sum off by -6.973e-08, d-sum by -6.371e-08; TOL_SUM = 1e-09)\n"),
+]
+
+
 class TestCoeffs:
     def test_delta_rows_at_a_zero(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--a", "0", "--n-max", "2")
@@ -109,19 +124,26 @@ class TestCoeffs:
             assert abs(vals[n] - approx) / approx < 0.30
             assert vals[-n] == vals[n]
 
-    def test_truncation_note_on_stderr(self, capsys):
-        code, out, err = run_cli(capsys, "coeffs", "--a", "50", "--n-max", "30")
-        assert code == 0
-        assert "sum rules will not close" in err
-        assert out.startswith("n,c\n")
+    @pytest.mark.parametrize("argv, note", TRUNCATION_NOTES,
+                             ids=[" ".join(argv) for argv, _ in TRUNCATION_NOTES])
+    def test_truncation_note_bytes(self, capsys, argv, note):
+        code, out, err = run_cli(capsys, "coeffs", *argv)
+        assert (code, err) == (0, note)
+        assert out.startswith("n,c,d\n" if "--with-d" in argv else "n,c\n")
 
-    def test_large_a_truncation_note_on_stderr(self, capsys):
-        code, out, err = run_cli(capsys, "coeffs", "--a", "2000", "--n-max", "2040",
-                                 "--with-d")
-        assert code == 0
-        assert err.startswith("note: ")
-        assert "sum rules will not close" in err
-        assert out.startswith("n,c,d\n")
+    def test_truncation_note_precedes_the_csv(self):
+        argv, note = TRUNCATION_NOTES[0]
+        proc = subprocess.run([sys.executable, "-m", "ringdecay", "coeffs", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                              timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(note + "n,c\n")
+
+    @pytest.mark.parametrize("a, n_max", [("400", "440"), ("50", "90"), ("0", "5")])
+    def test_no_note_where_truncated_sums_close(self, capsys, a, n_max):
+        assert int(n_max) < alias_cutoff(float(a))
+        code, _, err = run_cli(capsys, "coeffs", "--a", a, "--n-max", n_max)
+        assert (code, err) == (0, "")
 
     def test_series_refusal_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--a", "50", "--n-max", "10",

@@ -13,15 +13,18 @@ and float cells in ``%.17g`` (the bytes of ``str`` and of
 are formatted and written in blocks of ``_BLOCK_ROWS``, so the writer's
 own memory does not grow with the row count, except for ``coeffs``:
 c_n and d_n are even in n, so it formats rows n >= 0 once, holds their
-text, and writes row -n as ``-`` + row n.  ``spectrum --path both``
-formats each block's ``rate_oracle`` cells once: where the analytic
-rate is 0, abs_diff is |rate_oracle| bit for bit, so its cell is the
-oracle cell's text without a leading ``-``, and only the other rows
-format abs_diff; it too holds one block of cells at a time.  Identical
-command lines produce byte-identical files; ``validate`` writes a text
-report.  The parser is built once, at import, and every ``main`` call
-reuses it.  Exit codes: 0 success, 1 validation failure, 2 usage error
-or an output that cannot be written, 141 stdout closed by its reader.
+text, and writes row -n as ``-`` + row n.  Where its table stops below
+``alias_cutoff(a)`` and a sum rule misses by more than ``TOL_SUM``,
+``coeffs`` prints one ``note:`` line to stderr before the CSV and still
+exits 0.  ``spectrum --path both`` formats each block's ``rate_oracle``
+cells once: where the analytic rate is 0, abs_diff is |rate_oracle| bit
+for bit, so its cell is the oracle cell's text without a leading ``-``,
+and only the other rows format abs_diff; it too holds one block of cells
+at a time.  Identical command lines produce byte-identical files;
+``validate`` writes a text report.  The parser is built once, at import,
+and every ``main`` call reuses it.  Exit codes: 0 success, 1 validation
+failure, 2 usage error or an output that cannot be written, 141 stdout
+closed by its reader.
 """
 
 from __future__ import annotations
@@ -30,14 +33,13 @@ import argparse
 import math
 import os
 import sys
-import warnings
 from itertools import chain
 
 import numpy as np
 
 from .ring_model import ModelKind, RingConfig, lattice_conversion
 from .spectrum import analytic_spectrum, continuous_limit_rate, oracle_spectrum
-from .specfun import coeff_table
+from .specfun import TOL_SUM, _alias_cutoff, coeff_table
 from .validation import all_passed, format_report, run_checks
 
 USAGE_ERROR = 2
@@ -190,11 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_coeffs(args) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        table = coeff_table(args.a, args.n_max, method=args.method)
-    for w in caught:
-        print(f"note: {w.message}", file=sys.stderr)
+    table = coeff_table(args.a, args.n_max, method=args.method)
+    cutoff = _alias_cutoff(table.a)
+    if table.n_max < cutoff:
+        miss_c, miss_d = table.c_sum() - 1.0, table.d_sum() - 1.0 / 3.0
+        if max(abs(miss_c), abs(miss_d)) > TOL_SUM:
+            print(f"note: n_max = {table.n_max} is below alias_cutoff(a) = {cutoff}; sum "
+                  f"rules will not close at this truncation (c-sum off by {miss_c:.3e}, "
+                  f"d-sum by {miss_d:.3e}; TOL_SUM = {TOL_SUM:.0e})", file=sys.stderr)
     columns = (table.c, table.d) if args.with_d else (table.c,)
     # c and d are even in n: format rows 0..n_max once; row -n is "-" + row n.
     header, *blocks = _csv_chunks("n,c,d" if args.with_d else "n,c",

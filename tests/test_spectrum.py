@@ -89,6 +89,27 @@ class TestAliasCutoff:
             alias_cutoff(bad)
 
 
+class TestDarkTail:
+    """Past alias_cutoff(a) the spectrum prints 0; the single-winding rate resolves the mode.
+
+    At N = 200, d/lambda = 0.1 (a = 20.0008..., cutoff 74) both aliases of
+    k = 90, the orders 90 and -110, lie past the cutoff.
+    """
+
+    # N c_90(a) by mpmath at dps = 60, from the 1F2 form of c_n = int_0^1 J_2n(2at) dt:
+    #   mp.mp.dps = 60; b, nu = 2 * mp.mpf(a), 180
+    #   200 * (b / 2)**nu / (mp.gamma(nu + 1) * (nu + 1)) \
+    #       * mp.hyp1f2((nu + 1) / mp.mpf(2), nu + 1, (nu + 3) / mp.mpf(2), -b**2 / 4)
+    RATE_90 = 9.4182989152463069381142495296e-97
+
+    def test_k90_is_zero_in_the_spectrum_and_resolved_single_winding(self):
+        a = lattice_conversion(200, 0.1)
+        assert 90 > alias_cutoff(a)
+        assert analytic_spectrum(RingConfig(200, a), ModelKind.scalar()).rate(90) == 0.0
+        rate = continuous_limit_rate(200, a, 90)
+        assert abs(rate / self.RATE_90 - 1.0) <= 1e-13
+
+
 class TestLargeA:
     # the top of the advertised range, a <= 1e4: the alias cutoff must keep
     # every coefficient that the sum rules and the fold can see
@@ -263,8 +284,8 @@ class TestContinuousLimit:
     def test_short_table_matches_cutoff_table(self, n):
         # Where N//2 < alias_cutoff(a) the rate reads a table of only N//2 + 1
         # rows, whose c_k and d_k match the cutoff-depth table's to 4 eps.  The
-        # grid ends at a = 1e4, where a short table through coeff_table would
-        # raise its truncation UserWarning.
+        # grid ends at a = 1e4, where such a short table misses most of the
+        # sum rules' weight.
         eps = np.finfo(float).eps
         for a in np.geomspace(1e-3, 1e4).tolist():
             ref = coeff_table(a, max(alias_cutoff(a), n // 2))

@@ -37,6 +37,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -212,19 +213,12 @@ def run(argv):
     to 80 columns.
     """
     out, err = io.StringIO(), io.StringIO()
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli_main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+    with (mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        try:
+            code = cli_main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 

@@ -5,12 +5,14 @@ triangle, and the all-ones Dicke matrix.  Frozen values are
 mpmath-checked (mp.quad of besselj at dps=30).
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_specfun import closed_form_reference
 
 from ringdecay import ring_model, specfun, spectrum
 from ringdecay import (
@@ -36,6 +38,20 @@ ALL_MODELS = [
     ModelKind.vectorial(math.pi / 4),
     ModelKind.vectorial(math.pi / 2),
 ]
+
+
+@functools.cache
+def reference_table(a, depth):
+    """c_n(a), d_n(a) for n = 0..depth from the 1-D closed forms of the specfun tests."""
+    return closed_form_reference(a, depth)
+
+
+def reference_mix(c, d, k, model):
+    """Rate per atom at row k: c_k, or the aligned-dipole mix of c_k and d_k."""
+    if model is None or not model.is_vectorial:
+        return c[k]
+    cos2 = math.cos(model.delta) ** 2
+    return 0.75 * ((1.0 + cos2) * c[k] + (1.0 - 3.0 * cos2) * d[k])
 
 
 class TestTwoAtomClosedForm:
@@ -313,6 +329,28 @@ class TestContinuousLimit:
         assert np.array_equal(continuous_limit_rate(300, a_values, 2, model=model), rates[:, 2])
         assert np.array_equal(continuous_limit_rate(300, np.array(a_values), np.array(ks),
                                                     model=model), rates)
+
+    @pytest.mark.parametrize("cap", [None, 1, 700, 5000])
+    @pytest.mark.parametrize("n", [300, 2001])
+    @pytest.mark.parametrize("model", [None, ModelKind.vectorial(0.9)], ids=["scalar", "vector"])
+    def test_sequence_form_equals_one_table_per_read(self, monkeypatch, model, n, cap):
+        # Each rate is N times the c/d mix at row |k| of its own table of depth
+        # max(|k|, min(N//2, alias_cutoff(a))), built alone by the test's 1-D
+        # closed forms.  The small a put |k| = 100 and N//2 past the cutoff;
+        # the patched caps move the seams between the library's lane blocks.
+        if cap is not None:
+            monkeypatch.setattr(specfun, "_LANE_BLOCK_ELEMENTS", cap)
+        rng = np.random.default_rng(20250117)
+        half = n // 2
+        a_values = [0.0, 1e-60, 3e-50, 0.7, 3.0, 61.0, 1e4,
+                    *(10.0 ** rng.uniform(-3.0, 4.0, 6)).tolist()]
+        ks = [-half, -100, -2, 0, 1, 2, 100, half, *rng.integers(-half, half, 3).tolist()]
+        expected = []
+        for a in a_values:
+            depths = [max(abs(k), min(half, alias_cutoff(a))) for k in ks]
+            expected.append([n * reference_mix(*reference_table(a, depth), abs(k), model)
+                             for k, depth in zip(ks, depths)])
+        assert np.array_equal(continuous_limit_rate(n, a_values, ks, model=model), expected)
 
     def test_sequence_shapes(self):
         assert type(continuous_limit_rate(10, 3.0, 2)) is float

@@ -20,8 +20,10 @@ exits 0.  ``spectrum --path both`` formats each block's ``rate_oracle``
 cells once: where the analytic rate is 0, abs_diff is |rate_oracle| bit
 for bit, so its cell is the oracle cell's text without a leading ``-``,
 and only the other rows format abs_diff; it too holds one block of cells
-at a time.  Identical command lines produce byte-identical files;
-``validate`` writes a text report.  The parser is built once, at import,
+at a time.  Identical command lines produce byte-identical files on one
+host; across CPUs ``sweep``'s ``np.geomspace`` grid and ``validate``'s
+oracle-derived values can differ in the last bits.  ``validate`` writes
+a text report.  The parser is built once, at import,
 and every ``main`` call reuses it.  Exit codes: 0 success, 1 validation
 failure, 2 usage error or an output that cannot be written, 141 stdout
 closed by its reader.
@@ -102,11 +104,6 @@ def _spectrum_both_chunks(ks, rate, oracle, diff):
             diff_cells[i] = "%.17g" % d
         yield ("%d,%.17g,%s,%s\n" * len(rates)) % tuple(chain.from_iterable(
             zip(ks[block].tolist(), rates.tolist(), oracle_cells, diff_cells)))
-
-
-def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
-    """One row per index of the equal-length ``columns``, under ``header``."""
-    _write(path, _csv_chunks(header, columns))
 
 
 def _model_from_args(args) -> ModelKind:
@@ -235,7 +232,7 @@ def cmd_spectrum(args) -> int:
     ks = spectra[0].signed_indices()
     columns = [np.roll(spec.rates, config.n_atoms // 2) for spec in spectra]
     if len(columns) == 1:
-        _write_csv(args.output, "k,rate", ks, *columns)
+        _write(args.output, _csv_chunks("k,rate", [ks, *columns]))
         return 0
     diff = np.abs(columns[0] - columns[1])
     _write(args.output, _spectrum_both_chunks(ks, *columns, diff))
@@ -270,8 +267,8 @@ def cmd_sweep(args) -> int:
     grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
     a = [_a_from_lambda_over_d(args.n_atoms, lam_over_d) for lam_over_d in grid]
     rates = continuous_limit_rate(args.n_atoms, a, ks, model=model)
-    _write_csv(args.output, "lambda_over_d,k,rate",
-               np.repeat(grid, len(ks)), np.tile(ks, len(grid)), rates.ravel())
+    columns = (np.repeat(grid, len(ks)), np.tile(ks, len(grid)), rates.ravel())
+    _write(args.output, _csv_chunks("lambda_over_d,k,rate", columns))
     return 0
 
 

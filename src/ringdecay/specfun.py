@@ -33,10 +33,14 @@ Every coefficient is computable by two independent routes:
   while its largest term cannot swamp double precision (a^2 < |n| + 40);
   outside that range it refuses instead of returning noise.
 
-The closed forms take lanes, one (a, depth) pair each: every lane runs
+The closed forms run in lanes, one (a, depth) pair each: every lane runs
 its own recurrence, and one numpy pass forms c_n and d_n of a whole
-block of lanes, each with the bits it has when built alone.  A single
-table is the one-lane case.
+block of lanes, each with the bits of the table built alone.  A single
+table is the one-lane case.  Many reads at once, c and d of order n at
+a from the table of a given depth, go through ``_closed_form_reads``,
+which owns the lane protocol: it numbers one lane per distinct
+(a, depth), packs the lanes into blocks of at most 512 KiB, and gathers
+each read from its lane.
 
 Rates and lengths are dimensionless throughout (units of the linewidth
 and of the inverse wavenumber), so no physical constants appear here.
@@ -97,10 +101,13 @@ def _check_integer(value, name: str) -> int:
 
 
 def _check_real(value, name: str) -> float:
-    """value as a float, or ValueError for a bool, complex number, str or bytes."""
-    if isinstance(value, (bool, np.bool_, complex, np.complexfloating, str, bytes)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    """value as a float, or ValueError for a bool, complex number, str, bytes or non-number."""
+    if not isinstance(value, (bool, np.bool_, complex, np.complexfloating, str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):  # None, a list, an array of one or more dimensions
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _miller_start(x: float, top: int) -> int:
@@ -182,8 +189,13 @@ def _coeff_series(n: int, a: float, moment: int) -> float:
 
 
 # Largest padded lane array, in elements (512 KiB of float64), that one block
-# of ``_closed_form_blocks`` holds; a lane wider than that is a block alone.
+# of ``_closed_form_reads`` holds; a lane wider than that is a block alone.
 _LANE_BLOCK_ELEMENTS = 2**16
+
+
+def _lane_widths(lanes) -> list:
+    """Each lane's width in orders: its sweep's 0..start, or the 2 depth + 4 read at a = 0."""
+    return [2 * n + 4 if a < _A_TINY else _miller_start(2.0 * a, 2 * n + 3) + 1 for a, n in lanes]
 
 
 def _closed_form_lanes(lanes, width: int):
@@ -221,29 +233,41 @@ def _closed_form_lanes(lanes, width: int):
     return c, d
 
 
-def _closed_form_blocks(a_values, depths):
-    """Yield (c, d) of the lanes (a, depth), in order, a block of lanes at a time.
+def _closed_form_reads(a_values, depth: np.ndarray, orders: np.ndarray):
+    """c and d at (a_values[i], orders[j]), each read from its table of depth depth[i, j].
 
-    A block takes lanes while its padded array, as wide as its widest
-    sweep, stays within ``_LANE_BLOCK_ELEMENTS``; ``_closed_form_lanes``
-    forms the block's c_n and d_n in one numpy pass.
+    ``depth`` has one row per a and one column per order; ``orders`` rise,
+    each row of ``depth`` rises too, and no depth is below its order.  A
+    depth that differs from its left neighbour starts a new lane, so there
+    is one lane per distinct (a, depth) and the lane numbers never fall in
+    read order.  Lanes are taken in order into blocks while a block's
+    padded array, as wide as its widest lane, stays within
+    ``_LANE_BLOCK_ELEMENTS``; ``_closed_form_lanes`` forms each block in
+    one numpy pass, and its reads are gathered from it.
     """
-    block, width = [], 0
-    for a, depth in zip(a_values, depths):
-        # a sweep fills orders 0..start; 2 depth + 4 orders feed the closed forms
-        lane_width = 2 * depth + 4 if a < _A_TINY else _miller_start(2.0 * a, 2 * depth + 3) + 1
-        if block and (len(block) + 1) * max(width, lane_width) > _LANE_BLOCK_ELEMENTS:
-            yield _closed_form_lanes(block, width)
-            block, width = [], 0
-        block.append((a, depth))
+    new = np.ones(depth.shape, dtype=bool)
+    new[:, 1:] = depth[:, 1:] != depth[:, :-1]
+    lane = np.cumsum(new, axis=None) - 1  # the lane of each read
+    lanes = list(zip([a_values[i] for i in np.nonzero(new)[0].tolist()], depth[new].tolist()))
+    c, d = np.empty(lane.size), np.empty(lane.size)
+    start = width = 0
+    # the closing inf fits in no block, so it ends the last one
+    for i, lane_width in enumerate(_lane_widths(lanes) + [math.inf]):
+        if i > start and (i + 1 - start) * max(width, lane_width) > _LANE_BLOCK_ELEMENTS:
+            block_c, block_d = _closed_form_lanes(lanes[start:i], width)
+            reads = slice(*np.searchsorted(lane, [start, i]).tolist())
+            # (row in the block, order) per read; a row of depth holds one read per order
+            at = (lane[reads] - start, orders[np.arange(reads.start, reads.stop) % orders.size])
+            c[reads], d[reads] = block_c[at], block_d[at]
+            start, width = i, 0
         width = max(width, lane_width)
-    if block:
-        yield _closed_form_lanes(block, width)
+    return c.reshape(depth.shape), d.reshape(depth.shape)
 
 
 def _coeff_closed_form(a: float, n_max: int):
-    """c_n(a) and d_n(a) for n = 0..n_max: the one-lane case of the lane blocks."""
-    c, d = next(_closed_form_blocks([a], [n_max]))
+    """c_n(a) and d_n(a) for n = 0..n_max: the one-lane case of ``_closed_form_lanes``."""
+    lanes = [(a, n_max)]
+    c, d = _closed_form_lanes(lanes, _lane_widths(lanes)[0])
     return c[0], d[0]
 
 

@@ -25,14 +25,9 @@ The coefficients are the closed forms evaluated by one Bessel
 recurrence at Z = 2a; the power series in ``specfun`` is their
 independent second route.  Every spectrum at a reads the table of depth
 ``alias_cutoff(a)``, built by ``coeff_table`` and held in the module's
-one cache.  A single-winding rate reads only row |k| <= N/2, so the
-rates of an (N, a) share the table of depth min(N//2, alias_cutoff(a));
-a mode past the cutoff reads its own table of depth |k|.  Below the
-cutoff the shared table is shallower, and its recurrence starts near
-max(N, 2a) instead of near 2 alias_cutoff(a).  Those tables are not
-cached: ``continuous_limit_rate`` takes whole sequences of a and k and
-builds one closed-form lane per distinct (a, depth), a block of lanes
-per numpy pass, with the bits of a one-lane table.
+one cache.  A single-winding rate at (a, k) reads row |k| of the table
+of depth max(|k|, min(N//2, alias_cutoff(a))), uncached; ``specfun``
+builds those tables.
 
 Asymptotic companions: the single-winding (continuum-limit) rate
 N c_k(a), the even-N subradiant edge rate with its exponential estimate,
@@ -50,7 +45,7 @@ import numpy as np
 
 from .ring_model import ModelKind, RingConfig, _check_n_atoms, coupling_matrix, lattice_conversion
 from .specfun import (_MAX_COEFF_ORDER, CoefficientTable, _alias_cutoff, _check_integer,
-                      _check_size_parameter, _closed_form_blocks, coeff_c, coeff_table)
+                      _check_size_parameter, _closed_form_reads, coeff_c, coeff_table)
 
 __all__ = [
     "DecaySpectrum",
@@ -96,15 +91,15 @@ def _cached_table(a: float) -> CoefficientTable:
     return coeff_table(a, _alias_cutoff(a))
 
 
-def _harmonic_rates(c: np.ndarray, d: np.ndarray, index, model: ModelKind):
-    """Rate per atom carried by ``c[index]`` and ``d[index]``.
+def _harmonic_rates(c: np.ndarray, d: np.ndarray, model: ModelKind):
+    """Rate per atom carried by c_n and d_n, elementwise.
 
     c_n for the scalar model, the aligned-dipole mix of c_n and d_n else.
     """
     if not model.is_vectorial:
-        return c[index]
+        return c
     cos2 = math.cos(model.delta) ** 2
-    return 0.75 * ((1.0 + cos2) * c[index] + (1.0 - 3.0 * cos2) * d[index])
+    return 0.75 * ((1.0 + cos2) * c + (1.0 - 3.0 * cos2) * d)
 
 
 def analytic_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
@@ -113,7 +108,7 @@ def analytic_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
     a = config.size_parameter
     table = _cached_table(a)
     orders = np.arange(-table.n_max, table.n_max + 1)
-    weights = _harmonic_rates(table.c, table.d, np.abs(orders), model)
+    weights = _harmonic_rates(table.c, table.d, model)[np.abs(orders)]
     rates = n * np.bincount(orders % n, weights=weights, minlength=n)
     return DecaySpectrum(n_atoms=n, size_parameter=a, model=model, rates=rates)
 
@@ -157,40 +152,19 @@ def continuous_limit_rate(n_atoms: int, a, k, model: ModelKind | None = None):
     give a float; otherwise the rates form an array of shape
     (len(a), len(k)), with the axis of a scalar argument left out.
 
-    The rate at (a, k) reads the table of depth
+    The rate at (a, k) reads row |k| of the table of depth
     max(|k|, min(N//2, alias_cutoff(a))), which every mode
-    |k| <= alias_cutoff(a) of the ring at this a shares.  The tables are
-    built uncached, one lane per distinct (a, depth), by the closed-form
-    lane blocks of ``specfun``.
+    |k| <= alias_cutoff(a) of the ring at this a shares.
     """
     n_atoms = _check_n_atoms(n_atoms)
     a_values, a_axis = _checked_items(a, _check_size_parameter)
     ks, k_axis = _checked_items(k, lambda x: _check_mode_index(x, n_atoms))
     if model is None:
         model = ModelKind.scalar()
-    # Rate (a_i, |k|) reads row |k| of the table at a_i of depth
-    # max(|k|, min(N//2, alias_cutoff(a_i))).  Over the distinct |k| in
-    # rising order the depths of one a rise too, so numbering each new
-    # depth gives one lane per distinct (a, depth), in (a, depth) order,
-    # and lane numbers that never fall along the rows: each block of
-    # lanes serves one run of them.
     orders = np.array(sorted(set(ks)), dtype=int)
     shared = np.array([min(n_atoms // 2, _alias_cutoff(x)) for x in a_values], dtype=int)
-    depth = np.maximum(orders, shared[:, None])
-    new = np.ones(depth.shape, dtype=bool)
-    new[:, 1:] = depth[:, 1:] != depth[:, :-1]
-    lane_a = [a_values[i] for i in np.nonzero(new)[0].tolist()]
-    lane_depth = depth[new].tolist()
-    lane = np.cumsum(new, axis=None) - 1
-    rates = np.empty(lane.size)
-    start = done = 0
-    for c, d in _closed_form_blocks(lane_a, lane_depth):
-        stop = int(np.searchsorted(lane, start + len(c)))
-        col = orders[np.arange(done, stop) % len(orders)]
-        rates[done:stop] = _harmonic_rates(c, d, (lane[done:stop] - start, col), model)
-        start, done = start + len(c), stop
-    rates = rates.reshape(len(a_values), len(orders))[:, np.searchsorted(orders, ks)]
-    rates *= n_atoms
+    c, d = _closed_form_reads(a_values, np.maximum(orders, shared[:, None]), orders)
+    rates = n_atoms * _harmonic_rates(c, d, model)[:, np.searchsorted(orders, ks)]
     shape = [len(values) for values, axis in ((a_values, a_axis), (ks, k_axis)) if axis]
     return rates.reshape(shape) if shape else float(rates[0, 0])
 

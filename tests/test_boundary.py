@@ -6,12 +6,14 @@ takes an atom count, a size parameter or a tilt angle must fail with
 ``ValueError`` outside the range instead of returning a number.  Integer
 arguments (orders, table sizes, mode indices) refuse ``bool``, so
 ``True`` is never read as 1; real-valued arguments (a, delta, d/lambda)
-refuse ``bool``, complex numbers and strings, so none is read as a real
-number.
+refuse ``bool``, complex numbers, strings and anything ``float`` refuses
+(``None``, a list, a 1-D array), so none is read as a real number.
 """
 
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,10 +179,32 @@ def test_non_real_refusal_names_the_argument(call, name, bad):
     assert str(exc.value) == f"{name} must be a real number, got {bad!r}"
 
 
+@pytest.mark.parametrize("call, bad, name", [
+    (lambda a: RingConfig(4, a), None, "size parameter a"),
+    (lambda a: RingConfig(4, a), np.array([1.0]), "size parameter a"),
+    (lambda a: coeff_c(1, a), None, "size parameter a"),
+    (lambda d: lattice_conversion(10, d), None, "d_over_lambda"),
+    (ModelKind, [0.1], "delta"),
+], ids=["RingConfig-None", "RingConfig-array", "coeff_c-None", "lattice_conversion-None",
+        "ModelKind-list"])
+def test_non_number_refusal_names_the_argument(call, bad, name):
+    # float() refuses these with a TypeError; the entry turns it into its own refusal
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    assert str(exc.value) == f"{name} must be a real number, got {bad!r}"
+
+
 def test_numpy_reals_are_admitted():
     assert RingConfig(4, np.float32(0.5)).size_parameter == 0.5
     assert ModelKind(np.float64(0.5)).delta == 0.5
     assert lattice_conversion(4, np.int64(1)) == lattice_conversion(4, 1.0)
+
+
+def test_decimal_and_fraction_are_admitted():
+    assert RingConfig(4, Decimal("0.5")).size_parameter == 0.5
+    assert ModelKind(Fraction(1, 2)).delta == 0.5
+    assert lattice_conversion(4, Fraction(1, 4)) == lattice_conversion(4, 0.25)
+    assert coeff_c(1, Decimal("2.5")) == coeff_c(1, 2.5)
 
 
 @pytest.mark.parametrize("call", [call for _, call in TAKES_N],

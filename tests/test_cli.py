@@ -47,12 +47,12 @@ def edge_table(rows):
 
 
 class TestWriter:
-    """``_write_csv`` bytes against per-cell formatting, across a block seam."""
+    """``_write`` of ``_csv_chunks`` bytes against per-cell formatting, across a block seam."""
 
     @pytest.mark.parametrize("rows", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
     def test_stdout_matches_per_cell_reference(self, capsys, rows):
         columns = edge_table(rows)
-        cli._write_csv("stdout", "n,x,y", *columns)
+        cli._write("stdout", cli._csv_chunks("n,x,y", columns))
         out = capsys.readouterr().out
         # lists, so a failure reports the first differing row, not a text diff
         assert out.split("\n") == reference_lines("n,x,y", columns) + [""]
@@ -61,7 +61,7 @@ class TestWriter:
     def test_file_matches_per_cell_reference(self, capsys, tmp_path, rows):
         columns = edge_table(rows)
         target = tmp_path / "table.csv"
-        cli._write_csv(str(target), "n,x,y", *columns)
+        cli._write(str(target), cli._csv_chunks("n,x,y", columns))
         assert capsys.readouterr().out == ""
         data = target.read_bytes()
         assert b"\r" not in data

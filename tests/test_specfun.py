@@ -175,33 +175,45 @@ class TestClosedFormLanes:
                 jc, jp, rescales = jc * specfun._RESCALE, jp * specfun._RESCALE, rescales + 1
         assert rescales > 2
 
-    @pytest.mark.parametrize("cap", [None, 1, 700, 5000])
-    def test_lanes_equal_one_lane_builds_bit_for_bit(self, monkeypatch, cap):
-        if cap is not None:
-            monkeypatch.setattr(specfun, "_LANE_BLOCK_ELEMENTS", cap)
-        a_values, depths = zip(*LANES)
-        blocks = list(specfun._closed_form_blocks(list(a_values), list(depths)))
-        assert len(blocks) > 1  # at least one block seam
-        rows = [(c_row, d_row) for c, d in blocks for c_row, d_row in zip(c, d)]
-        assert len(rows) == len(LANES)
-        for (a, depth), (c_row, d_row) in zip(LANES, rows):
-            c_ref, d_ref = closed_form_reference(a, depth)
-            assert np.array_equal(c_row[:depth + 1], c_ref), (a, depth)
-            assert np.array_equal(d_row[:depth + 1], d_ref), (a, depth)
-
-    def test_blocks_stay_within_the_cap(self, monkeypatch):
-        shapes = []
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Each ``_closed_form_lanes`` call as (lanes, width, c, d), in call order."""
+        calls = []
         lanes = specfun._closed_form_lanes
 
         def recorded(block, width):
-            shapes.append((len(block), width))
-            return lanes(block, width)
+            c, d = lanes(block, width)
+            calls.append((block, width, c, d))
+            return c, d
 
         monkeypatch.setattr(specfun, "_closed_form_lanes", recorded)
+        return calls
+
+    @staticmethod
+    def read_lanes():
+        """Every lane of LANES through ``_closed_form_reads``, as one row read at order 0."""
         a_values, depths = zip(*LANES)
-        list(specfun._closed_form_blocks(list(a_values), list(depths)))
-        assert sum(n for n, _ in shapes) == len(LANES)
-        for n, width in shapes:
+        return specfun._closed_form_reads(list(a_values), np.array(depths)[:, None], np.array([0]))
+
+    @pytest.mark.parametrize("cap", [None, 1, 700, 5000])
+    def test_lanes_equal_one_lane_builds_bit_for_bit(self, monkeypatch, blocks, cap):
+        if cap is not None:
+            monkeypatch.setattr(specfun, "_LANE_BLOCK_ELEMENTS", cap)
+        c, d = self.read_lanes()
+        assert len(blocks) > 1  # at least one block seam
+        assert [lane for block, _, _, _ in blocks for lane in block] == LANES
+        rows = [(c_row, d_row) for _, _, c, d in blocks for c_row, d_row in zip(c, d)]
+        for (a, depth), (c_row, d_row), read in zip(LANES, rows, zip(c[:, 0], d[:, 0])):
+            c_ref, d_ref = closed_form_reference(a, depth)
+            assert np.array_equal(c_row[:depth + 1], c_ref), (a, depth)
+            assert np.array_equal(d_row[:depth + 1], d_ref), (a, depth)
+            assert read == (c_ref[0], d_ref[0]), (a, depth)
+
+    def test_blocks_stay_within_the_cap(self, blocks):
+        self.read_lanes()
+        assert sum(len(block) for block, _, _, _ in blocks) == len(LANES)
+        for block, width, _, _ in blocks:
+            n = len(block)
             assert n == 1 or n * width <= specfun._LANE_BLOCK_ELEMENTS
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from ringdecay import cli, specfun
 from ringdecay.cli import main
-from ringdecay.ring_model import ModelKind, RingConfig
+from ringdecay.ring_model import ModelKind, RingConfig, lattice_conversion
 from ringdecay.specfun import _miller_sweep as miller_sweep
 from ringdecay.specfun import alias_cutoff, coeff_table
 from ringdecay.spectrum import analytic_spectrum, continuous_limit_rate, oracle_spectrum
@@ -318,6 +318,65 @@ class TestSpectrumBoth:
         assert out.count("\n") == n_atoms + 1
 
 
+ONE_PATH_CASES = [(path, *case) for path in ("analytic", "oracle") for case in BOTH_CASES]
+
+
+class TestSpectrumOnePath:
+    """``--path analytic`` and ``--path oracle`` give the bytes of every cell formatted
+    on its own, across the block seams, with exact-zero and nonzero analytic rates."""
+
+    @staticmethod
+    def run(capsys, path, n_atoms, a, model_args, *extra):
+        return run_cli(capsys, "spectrum", "--n-atoms", str(n_atoms), "--a", a,
+                       "--path", path, *model_args, *extra)
+
+    @staticmethod
+    def reference(path, n_atoms, a, model_args):
+        """``spectrum --path PATH`` rows k = -N//2.., every cell formatted on its own."""
+        model = ModelKind.vectorial(1.0) if model_args else ModelKind.scalar()
+        route = analytic_spectrum if path == "analytic" else oracle_spectrum
+        spec = route(RingConfig(n_atoms, float(a)), model)
+        rates = np.roll(spec.rates, n_atoms // 2).tolist()
+        return ["k,rate", *(f"{k},{format(rate, '.17g')}"
+                            for k, rate in zip(spec.signed_indices().tolist(), rates))]
+
+    @pytest.mark.parametrize("path, n_atoms, a, model_args", ONE_PATH_CASES)
+    def test_stdout_matches_per_cell_reference(self, capsys, path, n_atoms, a, model_args):
+        code, out, err = self.run(capsys, path, n_atoms, a, model_args)
+        assert (code, err) == (0, "")
+        # lists, so a failure reports the first differing row, not a text diff
+        assert out.split("\n") == self.reference(path, n_atoms, a, model_args) + [""]
+
+    @pytest.mark.parametrize("path, n_atoms, a, model_args", ONE_PATH_CASES)
+    def test_file_matches_per_cell_reference(self, capsys, tmp_path, path, n_atoms, a,
+                                             model_args):
+        target = tmp_path / "spectrum.csv"
+        code, out, err = self.run(capsys, path, n_atoms, a, model_args, "--output",
+                                  str(target))
+        assert (code, out, err) == (0, "", "")
+        data = target.read_bytes()
+        assert b"\r" not in data
+        assert data.decode().split("\n") == self.reference(path, n_atoms, a, model_args) + [""]
+
+    @pytest.mark.parametrize("n_atoms", BOTH_SEAMS)
+    def test_analytic_chunks_hold_one_block_at_most(self, capsys, monkeypatch, n_atoms):
+        rows = []
+        inner = cli._write
+
+        def counted(path, chunks):
+            def each():
+                for chunk in chunks:
+                    rows.append(chunk.count("\n"))
+                    yield chunk
+            inner(path, each())
+        monkeypatch.setattr(cli, "_write", counted)
+        code, out, _ = self.run(capsys, "analytic", n_atoms, "20", ())
+        assert code == 0
+        full, rest = divmod(n_atoms, cli._BLOCK_ROWS)
+        assert rows == [1] + [cli._BLOCK_ROWS] * full + ([rest] if rest else [])
+        assert out.count("\n") == n_atoms + 1
+
+
 class TestSpectrumCommand:
     def test_dicke_both_paths(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--n-atoms", "10", "--a", "1e-8",
@@ -509,6 +568,27 @@ class TestSweep:
         grid = np.geomspace(0.05, 100.0, points)
         assert sweeps == [(2.0 * cli._a_from_lambda_over_d(10, x), 13) for x in grid]
 
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("--n-atoms", "2", "--k", "0,1", "--grid-points", "9"),
+        ("--n-atoms", "3", "--k", "0,1", "--grid-min", "1e-3", "--grid-max", "1e300",
+         "--grid-points", "97"),
+        ("--n-atoms", "400", "--grid-min", "0.04001", "--grid-max", "0.05"),
+        ("--n-atoms", "10000000", "--grid-min", "2000", "--grid-max", "2000.0001",
+         "--grid-points", "30"),
+    ], ids=["default", "N=2", "N=3-wide", "N=400-a-near-1e4", "N=1e7-narrow"])
+    def test_each_point_converts_as_lattice_conversion(self, capsys, monkeypatch, argv):
+        seen = []
+        inner = cli.continuous_limit_rate
+        monkeypatch.setattr(cli, "continuous_limit_rate",
+                            lambda n, a, ks, model: seen.append(list(a)) or inner(n, a, ks,
+                                                                                   model=model))
+        code, _, err = run_cli(capsys, "sweep", *argv)
+        assert (code, err) == (0, "")
+        args = cli._PARSER.parse_args(["sweep", *argv])
+        grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
+        assert seen == [[lattice_conversion(args.n_atoms, 1.0 / x) for x in grid.tolist()]]
+
     def test_one_lane_per_distinct_depth(self, capsys, monkeypatch):
         # past alias_cutoff(a) < N//2 each |k| reads its own depth; k and -k share
         # one, and the a < 1e-50 points at the grid's top run no sweep at all
@@ -610,6 +690,12 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--n-atoms", "400", "--grid-min", "0.001")
         assert (code, out, err) == (2, "", "error: d_over_lambda = 1000.0 puts the size "
                                            "parameter a = 400004.11236476206 above its "
+                                           "supported limit 10000.0\n")
+        # only the low end's a = 10000.1028... is past the limit; the next point's is not
+        code, out, err = run_cli(capsys, "sweep", "--n-atoms", "400", "--grid-min", "0.04",
+                                 "--grid-max", "0.05", "--grid-points", "50")
+        assert (code, out, err) == (2, "", "error: d_over_lambda = 25.0 puts the size "
+                                           "parameter a = 10000.102809119053 above its "
                                            "supported limit 10000.0\n")
         # the ceiling is refused before the grid is allocated
         for points in (10001, 10**12):

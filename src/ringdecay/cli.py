@@ -16,15 +16,18 @@ c_n and d_n are even in n, so it formats rows n >= 0 once, holds their
 text, and writes row -n as ``-`` + row n.  Where its table stops below
 ``alias_cutoff(a)`` and a sum rule misses by more than ``TOL_SUM``,
 ``coeffs`` prints one ``note:`` line to stderr before the CSV and still
-exits 0.  ``spectrum --path both`` formats each block's ``rate_oracle``
-cells once: where the analytic rate is 0, abs_diff is |rate_oracle| bit
-for bit, so its cell is the oracle cell's text without a leading ``-``,
-and only the other rows format abs_diff; it too holds one block of cells
-at a time.  Identical command lines produce byte-identical files on one
-host; across CPUs ``sweep``'s ``np.geomspace`` grid and ``validate``'s
-oracle-derived values can differ in the last bits.  ``validate`` writes
-a text report.  The parser is built once, at import,
-and every ``main`` call reuses it.  Exit codes: 0 success, 1 validation
+exits 0.  ``spectrum --path analytic`` and ``--path both`` format only
+the analytic rates that are not +0.0 and write the rest as ``0``, the
+``%.17g`` text of +0.0: most rates are exact zeros, every mode whose
+aliases all lie past ``alias_cutoff(a)``.  ``--path both`` also formats
+each block's ``rate_oracle`` cells once: where the analytic rate is 0,
+abs_diff is |rate_oracle| bit for bit, so its cell is the oracle cell's
+text without a leading ``-``, and only the other rows format abs_diff.
+Both hold one block of cells at a time.  Identical command lines produce
+byte-identical files on one host; across CPUs ``sweep``'s
+``np.geomspace`` grid and ``validate``'s oracle-derived values can
+differ in the last bits.  ``validate`` writes a text report.  The parser
+is built once, at import, and every ``main`` call reuses it.  Exit codes: 0 success, 1 validation
 failure, 2 usage error or an output that cannot be written, 141 stdout
 closed by its reader.
 """
@@ -85,25 +88,43 @@ def _csv_chunks(header: str, columns):
         yield (row * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _spectrum_both_chunks(ks, rate, oracle, diff):
-    """The ``--path both`` CSV: its header, then the rows ``_BLOCK_ROWS`` at a time.
+def _g17_cells(values) -> list[str]:
+    """The ``%.17g`` text of each value, formatted by one ``%`` in C."""
+    return ("%.17g\n" * len(values) % tuple(values.tolist())).split()
+
+
+def _spectrum_chunks(ks, rate, oracle=None, diff=None):
+    """The ``--path analytic`` CSV, or with ``oracle`` and ``diff`` the ``--path both``
+    CSV: its header, then the rows ``_BLOCK_ROWS`` at a time.
+
+    Most analytic rates are exactly +0.0, every mode whose aliases all lie
+    past ``alias_cutoff(a)``, and the ``%.17g`` text of +0.0 is ``0``.  So
+    each block formats only the rate cells that are not +0.0 (-0.0, whose
+    text is ``-0``, included) and writes ``0`` for the rest.
 
     Where the analytic rate is +-0.0, abs_diff = |rate - rate_oracle| is
     |rate_oracle| bit for bit, so its ``%.17g`` text is the oracle cell's
     text without its sign.  Each block formats its oracle cells once and
-    formats abs_diff only on the rows whose analytic rate is nonzero.
+    formats abs_diff only on the rows whose rate cell it formats.
     """
-    yield "k,rate,rate_oracle,abs_diff\n"
+    yield "k,rate\n" if oracle is None else "k,rate,rate_oracle,abs_diff\n"
     for start in range(0, len(ks), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         rates = rate[block]
-        oracle_cells = ("%.17g\n" * len(rates) % tuple(oracle[block].tolist())).split()
+        shown = np.flatnonzero((rates != 0.0) | np.signbit(rates))
+        rate_cells = ["0"] * len(rates)
+        for i, cell in zip(shown.tolist(), _g17_cells(rates[shown])):
+            rate_cells[i] = cell
+        if oracle is None:  # two columns: one ``%`` per block is the fastest join
+            yield ("%d,%s\n" * len(rates)) % tuple(chain.from_iterable(
+                zip(ks[block].tolist(), rate_cells)))
+            continue
+        oracle_cells = _g17_cells(oracle[block])
         diff_cells = [cell.lstrip("-") for cell in oracle_cells]
-        nonzero = np.flatnonzero(rates)
-        for i, d in zip(nonzero.tolist(), diff[block][nonzero].tolist()):
-            diff_cells[i] = "%.17g" % d
-        yield ("%d,%.17g,%s,%s\n" * len(rates)) % tuple(chain.from_iterable(
-            zip(ks[block].tolist(), rates.tolist(), oracle_cells, diff_cells)))
+        for i, cell in zip(shown.tolist(), _g17_cells(diff[block][shown])):
+            diff_cells[i] = cell
+        rows = zip(map(str, ks[block].tolist()), rate_cells, oracle_cells, diff_cells)
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
 def _model_from_args(args) -> ModelKind:
@@ -231,11 +252,14 @@ def cmd_spectrum(args) -> int:
     spectra = [route(config, model) for route in routes]
     ks = spectra[0].signed_indices()
     columns = [np.roll(spec.rates, config.n_atoms // 2) for spec in spectra]
-    if len(columns) == 1:
+    if args.path == "oracle":
         _write(args.output, _csv_chunks("k,rate", [ks, *columns]))
         return 0
+    if args.path == "analytic":
+        _write(args.output, _spectrum_chunks(ks, *columns))
+        return 0
     diff = np.abs(columns[0] - columns[1])
-    _write(args.output, _spectrum_both_chunks(ks, *columns, diff))
+    _write(args.output, _spectrum_chunks(ks, *columns, diff))
     print(f"max_abs_diff = {diff.max():.17g}", file=sys.stderr)
     return 0
 
@@ -265,7 +289,12 @@ def cmd_sweep(args) -> int:
     ks = _parse_k_list(args.k)
     model = _model_from_args(args)
     grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
-    a = [_a_from_lambda_over_d(args.n_atoms, lam_over_d) for lam_over_d in grid]
+    # a falls as lambda/d rises and each rounding step below is monotone, so
+    # the checks that pass at the grid's two ends pass at every point.
+    for end in (grid[0], grid[-1]):
+        _a_from_lambda_over_d(args.n_atoms, end)
+    # lattice_conversion's arithmetic, each point rounded as it rounds it
+    a = math.pi * (1.0 / grid) / math.sin(math.pi / args.n_atoms)
     rates = continuous_limit_rate(args.n_atoms, a, ks, model=model)
     columns = (np.repeat(grid, len(ks)), np.tile(ks, len(grid)), rates.ravel())
     _write(args.output, _csv_chunks("lambda_over_d,k,rate", columns))

@@ -101,12 +101,16 @@ def _check_integer(value, name: str) -> int:
 
 
 def _check_real(value, name: str) -> float:
-    """value as a float, or ValueError for a bool, complex number, str, bytes or non-number."""
+    """value as a float, or ValueError for a bool, complex number, str, bytes, non-number,
+    or a number past the float range.
+    """
     if not isinstance(value, (bool, np.bool_, complex, np.complexfloating, str, bytes)):
         try:
             return float(value)
         except (TypeError, ValueError):  # None, a list, an array of one or more dimensions
             pass
+        except OverflowError:  # an int or a Fraction past the float range
+            raise ValueError(f"{name} is outside the float range") from None
     raise ValueError(f"{name} must be a real number, got {value!r}")
 
 

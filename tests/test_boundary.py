@@ -7,7 +7,8 @@ takes an atom count, a size parameter or a tilt angle must fail with
 arguments (orders, table sizes, mode indices) refuse ``bool``, so
 ``True`` is never read as 1; real-valued arguments (a, delta, d/lambda)
 refuse ``bool``, complex numbers, strings and anything ``float`` refuses
-(``None``, a list, a 1-D array), so none is read as a real number.
+(``None``, a list, a 1-D array) or cannot hold (an int past the float
+range), so none is read as a real number.
 """
 
 import math
@@ -192,6 +193,22 @@ def test_non_number_refusal_names_the_argument(call, bad, name):
     with pytest.raises(ValueError) as exc:
         call(bad)
     assert str(exc.value) == f"{name} must be a real number, got {bad!r}"
+
+
+# TAKES_REAL, plus ModelKind's and coeff_c's own argument checks
+TAKES_FLOAT = TAKES_REAL + [("ModelKind", ModelKind, "delta"),
+                            ("coeff_c", lambda a: coeff_c(1, a), "size parameter a")]
+
+
+@pytest.mark.parametrize("bad", [10**400, -(10**400), Fraction(10**400, 3)],
+                         ids=["int", "negative-int", "Fraction"])
+@pytest.mark.parametrize("call, name", [(call, arg) for _, call, arg in TAKES_FLOAT],
+                         ids=[f"{entry}-{arg}" for entry, _, arg in TAKES_FLOAT])
+def test_number_past_the_float_range_names_the_argument(call, name, bad):
+    # float() raises OverflowError for these; the entry turns it into its own refusal
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    assert str(exc.value) == f"{name} is outside the float range"
 
 
 def test_numpy_reals_are_admitted():

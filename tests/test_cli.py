@@ -68,6 +68,49 @@ class TestWriter:
         assert data.decode().split("\n") == reference_lines("n,x,y", columns) + [""]
 
 
+# rates the spectrum writer skips (+0.0) or must still format (-0.0 prints "-0")
+RATE_EDGES = [0.0, -0.0, 5e-324, 0.0, 0.0, 2.5, 1e-300, 0.0, 0.1, 1 / 3, math.nan, 1e300]
+
+
+class TestSpectrumWriter:
+    """``_spectrum_chunks`` against per-cell formatting on hand-made columns, across the
+    block seams: it formats no +0.0 rate, but every cell must read as if it did."""
+
+    @staticmethod
+    def columns(rows):
+        i = np.arange(rows)
+        rates = np.array(RATE_EDGES)[i % len(RATE_EDGES)]
+        oracle = np.array(EDGE_FLOATS)[(3 * i + 1) % len(EDGE_FLOATS)]
+        return i - rows // 2, rates, oracle
+
+    @pytest.mark.parametrize("rows", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1,
+                                      2 * cli._BLOCK_ROWS + 5])
+    def test_analytic_cells_match_per_cell_reference(self, rows):
+        ks, rates, _ = self.columns(rows)
+        out = "".join(cli._spectrum_chunks(ks, rates))
+        assert out.split("\n") == reference_lines("k,rate", (ks, rates)) + [""]
+
+    @pytest.mark.parametrize("rows", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1,
+                                      2 * cli._BLOCK_ROWS + 5])
+    def test_both_cells_match_per_cell_reference(self, rows):
+        ks, rates, oracle = self.columns(rows)
+        diff = np.abs(rates - oracle)
+        out = "".join(cli._spectrum_chunks(ks, rates, oracle, diff))
+        assert out.split("\n") == reference_lines("k,rate,rate_oracle,abs_diff",
+                                                  (ks, rates, oracle, diff)) + [""]
+
+    def test_formats_no_positive_zero_rate(self, monkeypatch):
+        formatted = []
+        inner = cli._g17_cells
+        monkeypatch.setattr(cli, "_g17_cells",
+                            lambda values: formatted.extend(values.tolist()) or inner(values))
+        ks, rates, _ = self.columns(cli._BLOCK_ROWS + 1)
+        "".join(cli._spectrum_chunks(ks, rates))
+        shown = [x for x in rates.tolist() if x != 0.0 or math.copysign(1.0, x) < 0.0]
+        assert list(map(repr, formatted)) == list(map(repr, shown))  # nan != nan
+        assert 0 < len(shown) < len(rates)
+
+
 # Where a table stops below alias_cutoff(a) and a sum rule misses by more
 # than TOL_SUM, ``coeffs`` prints this one line to stderr and still exits 0.
 TRUNCATION_NOTES = [

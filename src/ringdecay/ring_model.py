@@ -21,14 +21,17 @@ reduces to the scalar one.
 
 Because the rates depend only on s = (m - j) mod N, the full matrix is
 circulant: ``coupling_matrix`` returns its generating first row, O(N)
-memory, with entry (j, m) equal to row[(m - j) mod N].
+memory, with entry (j, m) equal to row[(m - j) mod N].  The private
+``_kernel_halves`` owns the kernel of a ring: it evaluates the N//2 + 1
+distinct separations of many a and models in one pass, and
+``coupling_matrix`` mirrors its one-row case.
 
 ``RingConfig`` and ``ModelKind`` are the argument boundary: every public
 function that takes an atom count, a size parameter or a tilt angle
 validates it through them (or through ``lattice_conversion``).  The
-public kernels check their separation and tilt; ``coupling_matrix``
-runs the same private kernels on chords built from a validated
-``RingConfig`` and ``ModelKind``, without checking them again.
+public kernels check their separation and tilt; ``_kernel_halves``
+runs the same private kernels on chords built from validated sizes and
+``ModelKind``s, without checking them again.
 """
 
 from __future__ import annotations
@@ -151,12 +154,17 @@ def _j1_over_x(x: np.ndarray, sinc: np.ndarray) -> np.ndarray:
     return np.where(x < 0.1, series, direct)
 
 
+def _dipole_mix(sinc: np.ndarray, j1x: np.ndarray, delta: float):
+    """The aligned-dipole kernel at a tilt delta in [0, pi/2], from sin(x)/x and j1(x)/x."""
+    sin2 = math.sin(delta) ** 2
+    cos2 = math.cos(delta) ** 2
+    return 1.5 * (sin2 * sinc + (3.0 * cos2 - 1.0) * j1x)
+
+
 def _vector_kernel(x: np.ndarray, delta: float):
     """The aligned-dipole kernel at finite x and a tilt delta in [0, pi/2]."""
     sinc = _scalar_kernel(x)
-    sin2 = math.sin(delta) ** 2
-    cos2 = math.cos(delta) ** 2
-    return 1.5 * (sin2 * sinc + (3.0 * cos2 - 1.0) * _j1_over_x(x, sinc))
+    return _dipole_mix(sinc, _j1_over_x(x, sinc), delta)
 
 
 def vector_gamma_kernel(x, delta: float):
@@ -166,22 +174,37 @@ def vector_gamma_kernel(x, delta: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _kernel_halves(n: int, a_values, models) -> np.ndarray:
+    """The kernel at separations s = 0..N//2 of every (a, model): an (a, model, N//2 + 1) array.
+
+    The chords of every a form one array, and sin(x)/x and, for the aligned
+    dipoles, j1(x)/x are evaluated once over all of them; each model is a
+    mix of those two arrays.  The a and the models must already be
+    validated, as ``RingConfig`` and ``ModelKind`` do, so the chords are
+    finite and every tilt in range.  For one model the array is a view of
+    that model's kernel, with no copy.
+    """
+    chords = 2.0 * np.asarray(a_values, dtype=float)[:, None] * np.sin(
+        np.pi * np.arange(n // 2 + 1) / n)
+    sinc = _scalar_kernel(chords)
+    j1x = _j1_over_x(chords, sinc) if any(model.is_vectorial for model in models) else None
+    rows = [_dipole_mix(sinc, j1x, model.delta) if model.is_vectorial else sinc
+            for model in models]
+    halves = rows[0][:, None] if len(rows) == 1 else np.stack(rows, axis=1)
+    halves[..., 0] = 1.0  # diagonal is exactly the single-emitter rate
+    return halves
+
+
 def coupling_matrix(config: RingConfig, model: ModelKind) -> np.ndarray:
     """The N x N decay matrix as its generating first row.
 
     Entry (j, m) of the circulant matrix is row[(m - j) mod N].  The
-    kernel is evaluated once per distinct separation s = 0..N//2.  Those
-    chords are finite and the tilt in range, because ``config`` and
-    ``model`` validated a and delta, so the kernels run without the
-    public functions' re-checks.
+    kernel is evaluated once per distinct separation s = 0..N//2, as the
+    one-row case of ``_kernel_halves``.  ``config`` and ``model`` validated
+    a and delta, so the kernels run without the public functions' re-checks.
     """
     n = config.n_atoms
-    seps = 2.0 * config.size_parameter * np.sin(np.pi * np.arange(n // 2 + 1) / n)
-    if model.is_vectorial:
-        half = _vector_kernel(seps, model.delta)
-    else:
-        half = _scalar_kernel(seps)
-    half[0] = 1.0  # diagonal is exactly the single-emitter rate
+    half = _kernel_halves(n, (config.size_parameter,), (model,))[0, 0]
     # N - s is the chord of s: the mirror makes the row, so the matrix, symmetric to the bit
     return np.concatenate((half, half[(n - 1) // 2:0:-1]))
 

@@ -197,9 +197,9 @@ def _coeff_series(n: int, a: float, moment: int) -> float:
 _LANE_BLOCK_ELEMENTS = 2**16
 
 
-def _lane_widths(lanes) -> list:
-    """Each lane's width in orders: its sweep's 0..start, or the 2 depth + 4 read at a = 0."""
-    return [2 * n + 4 if a < _A_TINY else _miller_start(2.0 * a, 2 * n + 3) + 1 for a, n in lanes]
+def _lane_width(a: float, depth: int) -> int:
+    """A lane's width in orders: its sweep's 0..start, or the 2 depth + 4 read at a = 0."""
+    return 2 * depth + 4 if a < _A_TINY else _miller_start(2.0 * a, 2 * depth + 3) + 1
 
 
 def _closed_form_lanes(lanes, width: int):
@@ -244,21 +244,26 @@ def _closed_form_reads(a_values, depth: np.ndarray, orders: np.ndarray):
     each row of ``depth`` rises too, and no depth is below its order.  A
     depth that differs from its left neighbour starts a new lane, so there
     is one lane per distinct (a, depth) and the lane numbers never fall in
-    read order.  Lanes are taken in order into blocks while a block's
+    read order.  The lanes' a and depth are kept as two arrays, beside one
+    width per lane.  Lanes are taken in order into blocks while a block's
     padded array, as wide as its widest lane, stays within
-    ``_LANE_BLOCK_ELEMENTS``; ``_closed_form_lanes`` forms each block in
-    one numpy pass, and its reads are gathered from it.
+    ``_LANE_BLOCK_ELEMENTS``; only when a block runs are its (a, depth)
+    pairs formed for ``_closed_form_lanes``, which forms the block in one
+    numpy pass, and its reads are gathered from it.
     """
     new = np.ones(depth.shape, dtype=bool)
     new[:, 1:] = depth[:, 1:] != depth[:, :-1]
     lane = np.cumsum(new, axis=None) - 1  # the lane of each read
-    lanes = list(zip([a_values[i] for i in np.nonzero(new)[0].tolist()], depth[new].tolist()))
+    lane_a = np.asarray(a_values, dtype=float)[np.nonzero(new)[0]]
+    lane_depth = depth[new]
+    # the closing inf fits in no block, so it ends the last one
+    widths = [*map(_lane_width, lane_a.tolist(), lane_depth.tolist()), math.inf]
     c, d = np.empty(lane.size), np.empty(lane.size)
     start = width = 0
-    # the closing inf fits in no block, so it ends the last one
-    for i, lane_width in enumerate(_lane_widths(lanes) + [math.inf]):
+    for i, lane_width in enumerate(widths):
         if i > start and (i + 1 - start) * max(width, lane_width) > _LANE_BLOCK_ELEMENTS:
-            block_c, block_d = _closed_form_lanes(lanes[start:i], width)
+            block = list(zip(lane_a[start:i].tolist(), lane_depth[start:i].tolist()))
+            block_c, block_d = _closed_form_lanes(block, width)
             reads = slice(*np.searchsorted(lane, [start, i]).tolist())
             # (row in the block, order) per read; a row of depth holds one read per order
             at = (lane[reads] - start, orders[np.arange(reads.start, reads.stop) % orders.size])
@@ -270,8 +275,7 @@ def _closed_form_reads(a_values, depth: np.ndarray, orders: np.ndarray):
 
 def _coeff_closed_form(a: float, n_max: int):
     """c_n(a) and d_n(a) for n = 0..n_max: the one-lane case of ``_closed_form_lanes``."""
-    lanes = [(a, n_max)]
-    c, d = _closed_form_lanes(lanes, _lane_widths(lanes)[0])
+    c, d = _closed_form_lanes([(a, n_max)], _lane_width(a, n_max))
     return c[0], d[0]
 
 

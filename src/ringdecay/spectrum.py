@@ -20,6 +20,13 @@ independent routes compute the same spectrum:
 
 The aliased sum and the transform agree to 1e-8 per mode; their
 equivalence over a parameter grid is the package's central invariant.
+A grid of spectra is built in batches with the bits of the public calls.
+The private ``_fold`` sums the aliases of many (a, model) rows of one N
+in one ``np.bincount``, and ``analytic_spectrum`` is its one-row case;
+``_analytic_rates`` forms each row's weights once for every N of a grid
+and folds each N in one pass.  ``_oracle_rates`` is one ``hfft`` over
+the kernel rows of ``ring_model._kernel_halves``, which owns the kernel;
+``coupling_matrix`` is its one-row case.
 
 The coefficients are the closed forms evaluated by one Bessel
 recurrence at Z = 2a; the power series in ``specfun`` is their
@@ -43,7 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ring_model import ModelKind, RingConfig, _check_n_atoms, coupling_matrix, lattice_conversion
+from .ring_model import (ModelKind, RingConfig, _check_n_atoms, _kernel_halves, coupling_matrix,
+                         lattice_conversion)
 from .specfun import (_MAX_COEFF_ORDER, CoefficientTable, _alias_cutoff, _check_integer,
                       _check_size_parameter, _closed_form_reads, coeff_c, coeff_table)
 
@@ -102,14 +110,56 @@ def _harmonic_rates(c: np.ndarray, d: np.ndarray, model: ModelKind):
     return 0.75 * ((1.0 + cos2) * c + (1.0 - 3.0 * cos2) * d)
 
 
+def _alias_terms(a: float, models):
+    """Orders -n_max..n_max of the table at a validated a, and their weights per model.
+
+    A weight is the rate per atom that its order carries, formed once for
+    every N.
+    """
+    table = _cached_table(a)
+    order = np.arange(-table.n_max, table.n_max + 1)
+    index = np.abs(order)
+    return order, [_harmonic_rates(table.c, table.d, model)[index] for model in models]
+
+
+def _fold(n: int, orders: np.ndarray, rows, weights: np.ndarray, count: int) -> np.ndarray:
+    """The aliased sums of ``count`` rows of N modes, in one ``np.bincount``.
+
+    Term t adds weights[t] to mode orders[t] mod N of row rows[t], so row r's
+    bins are offset by r N and never overlap another row's.  Each rate sums
+    its aliases in term order, as a fold of its row alone does.
+    """
+    # n times the fresh bincount is done in place
+    return n * np.bincount(orders % n + rows * n, weights=weights, minlength=count * n)
+
+
+def _analytic_rates(ns, a_values, models) -> list:
+    """The aliased sums of every (a, model) row: one (a, model, N) array per N in ``ns``.
+
+    The weights are formed once for all N, and each N folds every row in
+    one pass.  The a and the models must already be validated.
+    """
+    terms = []  # row r = i len(models) + j: the orders and weights of (a_values[i], models[j])
+    for a in a_values:
+        order, weights = _alias_terms(a, models)
+        terms += [(order, weight) for weight in weights]
+    rows = np.repeat(np.arange(len(terms)), [order.size for order, _ in terms])
+    orders, weights = (np.concatenate(column) for column in zip(*terms))
+    return [_fold(n, orders, rows, weights, len(terms)).reshape(len(a_values), len(models), n)
+            for n in ns]
+
+
+def _oracle_rates(n: int, a_values, models) -> np.ndarray:
+    """The transform of every (a, model) kernel row: an (a, model, N) array, one ``hfft``."""
+    return np.fft.hfft(_kernel_halves(n, a_values, models), n, axis=-1)
+
+
 def analytic_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
-    """Spectrum from the aliased coefficient sums."""
+    """Spectrum from the aliased coefficient sums: the one-row case of ``_fold``."""
     n = config.n_atoms
     a = config.size_parameter
-    table = _cached_table(a)
-    orders = np.arange(-table.n_max, table.n_max + 1)
-    weights = _harmonic_rates(table.c, table.d, model)[np.abs(orders)]
-    rates = n * np.bincount(orders % n, weights=weights, minlength=n)
+    orders, (weights,) = _alias_terms(a, (model,))
+    rates = _fold(n, orders, 0, weights, 1)
     return DecaySpectrum(n_atoms=n, size_parameter=a, model=model, rates=rates)
 
 

@@ -25,7 +25,9 @@ from .ring_model import ModelKind, RingConfig, lattice_conversion
 # Nothing here calls coeff_c or coeff_d: benchmarks/spans.py looks them up
 # on this module to trace them.
 from .specfun import coeff_c, coeff_d, coeff_table, series_admitted  # noqa: F401
-from .spectrum import analytic_spectrum, continuous_limit_rate, oracle_spectrum, subradiant_edge
+# Nothing here calls oracle_spectrum either; benchmarks/spans.py traces it here too.
+from .spectrum import (_analytic_rates, _oracle_rates, analytic_spectrum, continuous_limit_rate,
+                       oracle_spectrum, subradiant_edge)  # noqa: F401
 
 __all__ = ["CheckResult", "run_checks", "format_report", "all_passed"]
 
@@ -75,26 +77,26 @@ def _check(name: str, requirement: str, tolerance: float, pairs) -> CheckResult:
 def _check_grid() -> tuple[list[CheckResult], CheckResult]:
     """The four spectrum checks and the magic-angle check, in one grid pass.
 
-    Each (config, model) spectrum is built once per route through the
-    public ``analytic_spectrum`` and ``oracle_spectrum``.  For each N the
-    rates of every (a, model, route) are stacked into one array, so each
-    measure is one axis reduction per N, and the (value, label) pairs come
-    out in (N, a, model, route) grid order, as ``_check``'s tie rule reads
-    them.  The trace is an exactly rounded ``math.fsum`` per spectrum.  The
-    scalar analytic spectrum is reused as the magic-angle reference.
+    The spectra are built in batches that give the bits of the public
+    ``analytic_spectrum`` and ``oracle_spectrum``: ``_analytic_rates``
+    forms each (a, model) row's alias weights once and folds every row of
+    one N in one pass, with the magic-angle model as a fifth row, and
+    ``_oracle_rates`` transforms every kernel row of one N at once.  The
+    grid's N and a are constants inside ``RingConfig``'s range, and the
+    batches take them unchecked.  For each N the rates of every (a, model,
+    route) are stacked into one array, so each measure is one axis
+    reduction per N, and the (value, label) pairs come out in (N, a, model,
+    route) grid order, as ``_check``'s tie rule reads them.  The trace is
+    an exactly rounded ``math.fsum`` per spectrum.  The scalar analytic
+    spectrum is the magic-angle reference.
     """
-    magic_model = ModelKind.vectorial(MAGIC_DELTA)
     model_labels = [model.label() for model in GRID_MODELS]
     diff, trace, neg, sym, magic = [], [], [], [], []
-    for n in GRID_N:
+    analytic = _analytic_rates(GRID_N, GRID_A, (*GRID_MODELS, ModelKind.vectorial(MAGIC_DELTA)))
+    for n, analytic_n in zip(GRID_N, analytic):
         mirror = -np.arange(n) % n  # k -> N-k, with 0 -> 0
-        rates, tilted = [], []  # rates[a][model][route], tilted[a]
-        for a in GRID_A:
-            config = RingConfig(n, a)
-            rates.append([(analytic_spectrum(config, model).rates,
-                           oracle_spectrum(config, model).rates) for model in GRID_MODELS])
-            tilted.append(analytic_spectrum(config, magic_model).rates)
-        rates = np.array(rates)  # (a, model, route, mode)
+        rates = np.stack((analytic_n[:, :-1], _oracle_rates(n, GRID_A, GRID_MODELS)),
+                         axis=2)  # (a, model, route, mode)
         labels = [f"(N={n}, a={a}, {m})" for a in GRID_A for m in model_labels]
         twice = [label for label in labels for _ in range(2)]  # one per route
         diff += zip(np.max(np.abs(rates[:, :, 0] - rates[:, :, 1]), axis=2).ravel().tolist(),
@@ -103,7 +105,7 @@ def _check_grid() -> tuple[list[CheckResult], CheckResult]:
         neg += zip([max(0.0, -low) for low in np.min(rates, axis=3).ravel().tolist()], twice)
         sym += zip(np.max(np.abs(rates - rates[..., mirror]), axis=3).ravel().tolist(), twice)
         scalar = rates[:, 0, 0]  # GRID_MODELS[0] is the scalar model
-        magic += zip(np.max(np.abs(np.array(tilted) - scalar), axis=1).tolist(),
+        magic += zip(np.max(np.abs(analytic_n[:, -1] - scalar), axis=1).tolist(),
                      [f"(N={n}, a={a})" for a in GRID_A])
     return [
         _check("oracle-equivalence", "max |Δ| < 1e-8", 1e-8, diff),

@@ -132,7 +132,41 @@ GRID_MODELS = (
 )
 
 
+def one_pass_row(config, model):
+    """The generating row from one 1-D kernel pass, every kernel step written out here.
+
+    The reference that ``coupling_matrix``, the one-row case of the batched
+    ``_kernel_halves``, must match bit for bit.
+    """
+    n = config.n_atoms
+    seps = 2.0 * config.size_parameter * np.sin(np.pi * np.arange(n // 2 + 1) / n)
+    sinc = np.sinc(seps / np.pi)
+    if model.is_vectorial:
+        x2 = seps * seps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            direct = (sinc - np.cos(seps)) / x2
+        series = 1.0 / 3991680.0
+        for c in (-1.0 / 45360.0, 1.0 / 840.0, -1.0 / 30.0, 1.0 / 3.0):
+            series = series * x2 + c
+        j1x = np.where(seps < 0.1, series, direct)
+        sin2, cos2 = math.sin(model.delta) ** 2, math.cos(model.delta) ** 2
+        half = 1.5 * (sin2 * sinc + (3.0 * cos2 - 1.0) * j1x)
+    else:
+        half = sinc
+    half[0] = 1.0
+    return np.concatenate((half, half[(n - 1) // 2:0:-1]))
+
+
 class TestCouplingMatrix:
+    @pytest.mark.parametrize("n", [2, 3, 4096, 4097])
+    @pytest.mark.parametrize("model", [*GRID_MODELS, ModelKind.vectorial(MAGIC_DELTA)],
+                             ids=lambda m: m.label())
+    def test_row_equals_one_kernel_pass_bit_for_bit(self, n, model):
+        for a in (0.0, 1e-8, 1e-3, 0.3, 50.0, 2000.0, 1e4):
+            row = coupling_matrix(RingConfig(n, a), model)
+            assert np.array_equal(row, one_pass_row(RingConfig(n, a), model)), a
+            assert np.array_equal(row[1:], row[:0:-1])  # symmetric to the bit
+
     @pytest.mark.parametrize("n", [2, 3, 8, 9])
     @pytest.mark.parametrize("model", GRID_MODELS, ids=lambda m: m.label())
     def test_returns_the_generating_row(self, n, model):

@@ -226,6 +226,59 @@ class TestFold:
         assert np.max(np.abs(spec.rates - _looped_rates(n, a, model))) <= n * 1e-15
 
 
+def one_row_fold(n, a, model):
+    """One spectrum's aliased sum as a fold of its row alone: the batched fold's reference."""
+    table = coeff_table(a, alias_cutoff(a))
+    orders = np.arange(-table.n_max, table.n_max + 1)
+    weights = np.array([reference_mix(table.c, table.d, abs(m), model) for m in orders.tolist()])
+    return n * np.bincount(orders % n, weights=weights, minlength=n)
+
+
+BATCH_N = (2, 3, 7, 64, 4095, 4096)
+BATCH_A = (0.0, 1e-8, 0.3, 50.0, 2000.0, 1e4)
+BATCH_MODELS = (*ALL_MODELS[:3], ModelKind.vectorial(MAGIC_DELTA), ALL_MODELS[3])
+
+
+class TestBatchedRates:
+    """Every (a, model) row of the batched routes has the bits of its public call."""
+
+    @pytest.mark.parametrize("n", BATCH_N)
+    def test_rows_equal_public_calls_bit_for_bit(self, n):
+        # the analytic weights are formed once for all of BATCH_N
+        analytic = spectrum._analytic_rates(BATCH_N, BATCH_A, BATCH_MODELS)[BATCH_N.index(n)]
+        oracle = spectrum._oracle_rates(n, BATCH_A, BATCH_MODELS)
+        assert analytic.shape == oracle.shape == (len(BATCH_A), len(BATCH_MODELS), n)
+        for i, a in enumerate(BATCH_A):
+            config = RingConfig(n, a)
+            for j, model in enumerate(BATCH_MODELS):
+                ana = analytic_spectrum(config, model).rates
+                assert np.array_equal(analytic[i, j], ana), (a, model)
+                assert np.array_equal(ana, one_row_fold(n, a, model)), (a, model)
+                assert np.array_equal(oracle[i, j], oracle_spectrum(config, model).rates), \
+                    (a, model)
+
+    @pytest.mark.parametrize("model", [ALL_MODELS[0], ALL_MODELS[1]], ids=lambda m: m.label())
+    def test_one_row_paths_hold_no_extra_n_sized_array(self, model):
+        # Peaks in units of one N-sized float64 array at N = 2**20, a = 50, with
+        # the table already cached: the fold's bincount is scaled in place (1.0),
+        # the kernel row takes its chords, sin(x)/x and, for the dipoles,
+        # j1(x)/x at N/2 each plus the mirrored row (2.5 scalar, 3.06 dipole),
+        # and the oracle adds hfft's input and output (3.5).
+        import tracemalloc
+
+        config = RingConfig(2**20, 50.0)
+        analytic_spectrum(config, model)
+        for path, bound in ((analytic_spectrum, 1.25), (ring_model.coupling_matrix, 3.25),
+                            (oracle_spectrum, 3.75)):
+            tracemalloc.start()
+            try:
+                path(config, model)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 8 * 2**20, path.__name__
+
+
 class TestSpectrumInvariants:
     @pytest.mark.parametrize("n", [2, 3, 10, 16, 40])
     @pytest.mark.parametrize("a", [0.0, 1.0, 10.0])
@@ -301,21 +354,22 @@ class TestContinuousLimit:
         # Where N//2 < alias_cutoff(a) the rate reads a table of only N//2 + 1
         # rows, whose c_k and d_k match the cutoff-depth table's to 4 eps.  The
         # grid ends at a = 1e4, where such a short table misses most of the
-        # sum rules' weight.
+        # sum rules' weight.  One sequence call per (a, model) reads every k;
+        # test_sequence_forms_equal_scalar_calls pins it to the scalar calls.
         eps = np.finfo(float).eps
         for a in np.geomspace(1e-3, 1e4).tolist():
             ref = coeff_table(a, max(alias_cutoff(a), n // 2))
             for delta in (None, 0.0, math.pi / 4, math.pi / 2):
                 model = ModelKind.scalar() if delta is None else ModelKind.vectorial(delta)
-                for k in range(n // 2 + 1):
+                got = continuous_limit_rate(n, a, range(n // 2 + 1), model=model)
+                for k, rate in enumerate(got.tolist()):
                     c, d = ref.c_at(k), ref.d_at(k)
                     if delta is None:
                         expect = n * c
                     else:
                         cos2 = math.cos(delta) ** 2
                         expect = n * 0.75 * ((1.0 + cos2) * c + (1.0 - 3.0 * cos2) * d)
-                    got = continuous_limit_rate(n, a, k, model=model)
-                    assert abs(got - expect) <= 4.0 * eps * n, (a, delta, k)
+                    assert abs(rate - expect) <= 4.0 * eps * n, (a, delta, k)
 
     @pytest.mark.parametrize("model", [None, ModelKind.vectorial(0.9)], ids=["scalar", "vector"])
     def test_sequence_forms_equal_scalar_calls(self, model):

@@ -24,12 +24,12 @@ each block's ``rate_oracle`` cells once: where the analytic rate is 0,
 abs_diff is |rate_oracle| bit for bit, so its cell is the oracle cell's
 text without a leading ``-``, and only the other rows format abs_diff.
 Both hold one block of cells at a time.  Identical command lines produce
-byte-identical files on one host; across CPUs ``sweep``'s
-``np.geomspace`` grid and ``validate``'s oracle-derived values can
-differ in the last bits.  ``validate`` writes a text report.  The parser
-is built once, at import, and every ``main`` call reuses it.  Exit codes: 0 success, 1 validation
-failure, 2 usage error or an output that cannot be written, 141 stdout
-closed by its reader.
+byte-identical files on one host; across CPUs ``validate``'s
+oracle-derived values can differ in the last bits.  ``validate`` writes a
+text report.  The parser is built once, at import, and every ``main``
+call reuses it.  Exit codes: 0 success, 1 validation failure, 2 usage
+error or an output that cannot be written, 141 stdout closed by its
+reader.
 """
 
 from __future__ import annotations
@@ -133,6 +133,21 @@ def _model_from_args(args) -> ModelKind:
     if args.delta is not None:
         raise ValueError("scalar model takes no tilt angle")
     return ModelKind.scalar()
+
+
+def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """``points`` log-spaced values from ``lo`` to ``hi``, both ends exact.
+
+    Each inner point is ``math.pow(10.0, y)``, the C library's ``pow``, at
+    an evenly spaced y from ``np.linspace``'s multiplies and adds, so no
+    value goes through numpy's ``log10`` or ``power``, whose kernels
+    differ in the last bit from one CPU to another.  An inner point that
+    rounds past an end is clipped to it, so every point lies in [lo, hi].
+    """
+    y = np.linspace(math.log10(lo), math.log10(hi), points).tolist()
+    grid = np.clip([math.pow(10.0, x) for x in y], lo, hi)
+    grid[0], grid[-1] = lo, hi
+    return grid
 
 
 def _a_from_lambda_over_d(n_atoms, lambda_over_d) -> float:
@@ -288,9 +303,10 @@ def cmd_sweep(args) -> int:
                          f"{_MAX_GRID_POINTS}")
     ks = _parse_k_list(args.k)
     model = _model_from_args(args)
-    grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
-    # a falls as lambda/d rises and each rounding step below is monotone, so
-    # the checks that pass at the grid's two ends pass at every point.
+    grid = _log_grid(args.grid_min, args.grid_max, args.grid_points)
+    # every point lies between the grid's ends, a falls as lambda/d rises and
+    # each rounding step below is monotone, so the checks that pass at the
+    # two ends pass at every point.
     for end in (grid[0], grid[-1]):
         _a_from_lambda_over_d(args.n_atoms, end)
     # lattice_conversion's arithmetic, each point rounded as it rounds it

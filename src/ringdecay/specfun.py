@@ -35,12 +35,14 @@ Every coefficient is computable by two independent routes:
 
 The closed forms run in lanes, one (a, depth) pair each: every lane runs
 its own recurrence, and one numpy pass forms c_n and d_n of a whole
-block of lanes, each with the bits of the table built alone.  A single
-table is the one-lane case.  Many reads at once, c and d of order n at
-a from the table of a given depth, go through ``_closed_form_reads``,
-which owns the lane protocol: it numbers one lane per distinct
-(a, depth), packs the lanes into blocks of at most 512 KiB, and gathers
-each read from its lane.
+block of lanes, each with the bits of the table built alone.  Whole
+tables, one per (a, n_max), come from ``_closed_form_tables``: one pass
+over their lanes, each row cut to its n_max.  ``coeff_table``'s closed
+form is its one-pair case, so one path builds every closed-form table.
+Many reads at once, c and d of order n at a from the table of a given
+depth, go through ``_closed_form_reads``, which owns the lane protocol:
+it numbers one lane per distinct (a, depth), packs the lanes into blocks
+of at most 512 KiB, and gathers each read from its lane.
 
 Rates and lengths are dimensionless throughout (units of the linewidth
 and of the inverse wavenumber), so no physical constants appear here.
@@ -228,8 +230,9 @@ def _closed_form_lanes(lanes, width: int):
     # tail[i] = sum_{k>=0} J_{2i+2k+1}(Z), summed from the smallest terms up
     tail = np.cumsum(j[:, 1::2][:, ::-1], axis=1)[:, ::-1]
     c = tail[:, :n_max + 1] / a
-    nu = np.arange(0.0, 2 * n_max + 1, 2.0)
-    d = ((nu - 1.0) * (2.0 * (nu + 1.0) * tail[:, 1:n_max + 2] + z * j[:, 2:2 * n_max + 3:2])
+    # nu - 1 and 2 (nu + 1) for nu = 2n, n = 0..n_max: small integers, exact as formed
+    nu_minus, twice_nu_plus = np.arange(-1.0, 2 * n_max, 2.0), np.arange(2.0, 4 * n_max + 3, 4.0)
+    d = (nu_minus * (twice_nu_plus * tail[:, 1:n_max + 2] + z * j[:, 2:2 * n_max + 3:2])
          + z * z * j[:, 1:2 * n_max + 2:2]) / z3
     for i in tiny:  # the a = 0 values
         c[i], d[i] = 0.0, 0.0
@@ -273,10 +276,21 @@ def _closed_form_reads(a_values, depth: np.ndarray, orders: np.ndarray):
     return c.reshape(depth.shape), d.reshape(depth.shape)
 
 
+def _closed_form_tables(pairs) -> list:
+    """The closed-form table (c, d), n = 0..n_max, of each pair (a, n_max), from one pass.
+
+    Every pair is a lane of one ``_closed_form_lanes`` pass as wide as its
+    widest lane, and row i is cut to n_max_i + 1 orders, so each table has
+    the bits of the table built alone.  The a must be validated; the pass
+    holds every lane at once, so the pairs should fit one block.
+    """
+    c, d = _closed_form_lanes(pairs, max([_lane_width(*pair) for pair in pairs]))
+    return [(c[i, :n_max + 1], d[i, :n_max + 1]) for i, (_, n_max) in enumerate(pairs)]
+
+
 def _coeff_closed_form(a: float, n_max: int):
-    """c_n(a) and d_n(a) for n = 0..n_max: the one-lane case of ``_closed_form_lanes``."""
-    c, d = _closed_form_lanes([(a, n_max)], _lane_width(a, n_max))
-    return c[0], d[0]
+    """c_n(a) and d_n(a) for n = 0..n_max: the one-pair case of ``_closed_form_tables``."""
+    return _closed_form_tables([(a, n_max)])[0]
 
 
 def _check_a_and_method(a, method) -> float:

@@ -3,7 +3,16 @@
 Each check measures one quantity over a fixed parameter grid and
 compares it against a fixed tolerance.  The CLI ``validate`` command
 renders the results as a text report and exits nonzero if any check
-fails.
+fails.  A check reports its worst value and where it was measured; a NaN
+counts as worse than any number, so it fails the check.
+
+The checks share work in batches with the bits of the public calls: the
+spectrum grid is folded and transformed one N at a time (``_check_grid``),
+and each set of closed-form tables, those of the sum rules, of the
+method cross-check and of each edge-mode slope, is one
+``specfun._closed_form_tables`` pass.  Where a measure is an array, one
+``np.argmax`` picks its worst point and only that point's label is
+formatted.
 
 One check is expected to fail by construction: the subradiant-slope
 check compares the measured suppression rate of the edge mode at
@@ -24,8 +33,9 @@ import numpy as np
 from .ring_model import ModelKind, RingConfig, lattice_conversion
 # Nothing here calls coeff_c or coeff_d: benchmarks/spans.py looks them up
 # on this module to trace them.
-from .specfun import coeff_c, coeff_d, coeff_table, series_admitted  # noqa: F401
-# Nothing here calls oracle_spectrum either; benchmarks/spans.py traces it here too.
+from .specfun import (CoefficientTable, _closed_form_tables, coeff_c, coeff_d,  # noqa: F401
+                      coeff_table, series_admitted)
+# Nor oracle_spectrum or subradiant_edge, which benchmarks/spans.py traces here too.
 from .spectrum import (_analytic_rates, _oracle_rates, analytic_spectrum, continuous_limit_rate,
                        oracle_spectrum, subradiant_edge)  # noqa: F401
 
@@ -64,14 +74,28 @@ class CheckResult:
 
 
 def _check(name: str, requirement: str, tolerance: float, pairs) -> CheckResult:
-    """Reduce (value, label) pairs to their largest value and its label.
+    """Reduce (value, label) pairs to their worst value and its label.
 
     Starts from (0.0, ""), so a check that never exceeds 0 reports no
-    label, and only a strictly larger value moves the label: on a tie the
-    first pair in grid order wins.
+    label, and only a strictly worse value moves the label: on a tie the
+    first pair in grid order wins.  A NaN is worse than any number, so the
+    first NaN pair is reported and fails the check.
     """
-    measured, where = max([(0.0, ""), *pairs], key=lambda pair: pair[0])
+    measured, where = max([(0.0, ""), *pairs],
+                          key=lambda pair: (math.isnan(pair[0]), pair[0]))
     return CheckResult(name, requirement, measured, tolerance, where)
+
+
+def _check_worst(name: str, requirement: str, tolerance: float, values, label) -> CheckResult:
+    """``_check`` over ``values`` in grid order, formatting only the worst one's label.
+
+    ``np.argmax`` picks the first maximum, or the first NaN, as ``_check``
+    does over every pair, so ``_check`` gets that one pair with
+    ``label(index)`` and keeps its 0.0 floor.
+    """
+    values = np.ravel(values)
+    i = int(np.argmax(values))
+    return _check(name, requirement, tolerance, [(float(values[i]), label(i))])
 
 
 def _check_grid() -> tuple[list[CheckResult], CheckResult]:
@@ -85,39 +109,53 @@ def _check_grid() -> tuple[list[CheckResult], CheckResult]:
     grid's N and a are constants inside ``RingConfig``'s range, and the
     batches take them unchecked.  For each N the rates of every (a, model,
     route) are stacked into one array, so each measure is one axis
-    reduction per N, and the (value, label) pairs come out in (N, a, model,
-    route) grid order, as ``_check``'s tie rule reads them.  The trace is
-    an exactly rounded ``math.fsum`` per spectrum.  The scalar analytic
-    spectrum is the magic-angle reference.
+    reduction per N, and each measure of the whole grid is one flat array
+    in (N, a, model, route) order.  One ``np.argmax`` per measure picks
+    its worst point, and only that point's label is formatted.  The trace
+    is an exactly rounded ``math.fsum`` per spectrum, and mode
+    nonnegativity measures -min(rates), which ``_check`` floors at 0.0.
+    The scalar analytic spectrum is the magic-angle reference.
     """
-    model_labels = [model.label() for model in GRID_MODELS]
     diff, trace, neg, sym, magic = [], [], [], [], []
     analytic = _analytic_rates(GRID_N, GRID_A, (*GRID_MODELS, ModelKind.vectorial(MAGIC_DELTA)))
     for n, analytic_n in zip(GRID_N, analytic):
         mirror = -np.arange(n) % n  # k -> N-k, with 0 -> 0
         rates = np.stack((analytic_n[:, :-1], _oracle_rates(n, GRID_A, GRID_MODELS)),
                          axis=2)  # (a, model, route, mode)
-        labels = [f"(N={n}, a={a}, {m})" for a in GRID_A for m in model_labels]
-        twice = [label for label in labels for _ in range(2)]  # one per route
-        diff += zip(np.max(np.abs(rates[:, :, 0] - rates[:, :, 1]), axis=2).ravel().tolist(),
-                    labels)
-        trace += zip([abs(math.fsum(row) - n) for row in rates.reshape(-1, n).tolist()], twice)
-        neg += zip([max(0.0, -low) for low in np.min(rates, axis=3).ravel().tolist()], twice)
-        sym += zip(np.max(np.abs(rates - rates[..., mirror]), axis=3).ravel().tolist(), twice)
+        diff.append(np.max(np.abs(rates[:, :, 0] - rates[:, :, 1]), axis=2))
+        trace += [abs(math.fsum(row) - n) for row in rates.reshape(-1, n).tolist()]
+        neg.append(-np.min(rates, axis=3))
+        sym.append(np.max(np.abs(rates - rates[..., mirror]), axis=3))
         scalar = rates[:, 0, 0]  # GRID_MODELS[0] is the scalar model
-        magic += zip(np.max(np.abs(analytic_n[:, -1] - scalar), axis=1).tolist(),
-                     [f"(N={n}, a={a})" for a in GRID_A])
+        magic.append(np.max(np.abs(analytic_n[:, -1] - scalar), axis=1))
+
+    def spectrum_label(i: int) -> str:  # i indexes the (N, a, model) grid
+        n, a, m = np.unravel_index(i, (len(GRID_N), len(GRID_A), len(GRID_MODELS)))
+        return f"(N={GRID_N[n]}, a={GRID_A[a]}, {GRID_MODELS[m].label()})"
+
+    def route_label(i: int) -> str:  # i indexes the (N, a, model, route) grid
+        return spectrum_label(i // 2)
+
+    def magic_label(i: int) -> str:  # i indexes the (N, a) grid
+        n, a = divmod(i, len(GRID_A))
+        return f"(N={GRID_N[n]}, a={GRID_A[a]})"
+
     return [
-        _check("oracle-equivalence", "max |Δ| < 1e-8", 1e-8, diff),
-        _check("trace-sum-rule", "max |sum_k rate_k - N| < 1e-9", 1e-9, trace),
-        _check("mode-nonnegativity", "rates above -1e-10", 1e-10, neg),
-        _check("reflection-symmetry", "max |rate_k - rate_{N-k}| < 1e-12", 1e-12, sym),
-    ], _check("magic-angle", "vectorial at cos^2(delta)=1/3 equals scalar within 1e-12",
-              1e-12, magic)
+        _check_worst("oracle-equivalence", "max |Δ| < 1e-8", 1e-8, diff, spectrum_label),
+        _check_worst("trace-sum-rule", "max |sum_k rate_k - N| < 1e-9", 1e-9, trace,
+                     route_label),
+        _check_worst("mode-nonnegativity", "rates above -1e-10", 1e-10, neg, route_label),
+        _check_worst("reflection-symmetry", "max |rate_k - rate_{N-k}| < 1e-12", 1e-12, sym,
+                     route_label),
+    ], _check_worst("magic-angle", "vectorial at cos^2(delta)=1/3 equals scalar within 1e-12",
+                    1e-12, magic, magic_label)
 
 
 def _check_coefficient_sums() -> list[CheckResult]:
-    tables = [coeff_table(a, math.ceil(a) + 40) for a in (0.0, 1.0, 5.0, 20.0, 50.0)]
+    """The sum rules of five closed-form tables, built in one ``_closed_form_tables`` pass."""
+    pairs = [(a, math.ceil(a) + 40) for a in (0.0, 1.0, 5.0, 20.0, 50.0)]
+    tables = [CoefficientTable(a, n_max, c, d)
+              for (a, n_max), (c, d) in zip(pairs, _closed_form_tables(pairs))]
     return [
         _check("c-sum-rule", "|c_0 + 2 sum c_n - 1| < 1e-9", 1e-9,
                ((abs(t.c_sum() - 1.0), f"(a={t.a})") for t in tables)),
@@ -177,23 +215,43 @@ def _check_methods() -> CheckResult:
     either every row 0..64 (a <= 5) or none (a = 20 and 50, which add no
     pair).  For an admitted a, ``coeff_table(a, 64, "series")`` is compared
     with the quadrature table elementwise: the same series and closed-form
-    values as one ``coeff_c``/``coeff_d`` call per (n, a).
+    values as one ``coeff_c``/``coeff_d`` call per (n, a).  The quadrature
+    tables of every admitted a come from one ``_closed_form_tables`` pass,
+    and one ``np.argmax`` over the (a, n) grid picks the worst pair.
     """
-    pairs = []
-    for a in (0.0, 0.1, 1.0, 5.0, 20.0, 50.0):
-        if not series_admitted(0, a):  # admission widens with |n|: row 0 decides
-            continue
-        series, table = coeff_table(a, 64, "series"), coeff_table(a, 64)
-        worst = np.maximum(np.abs(series.c - table.c), np.abs(series.d - table.d))
-        pairs += [(x, f"(n={n}, a={a})") for n, x in enumerate(worst.tolist())]
-    return _check("method-cross-check", "series vs quadrature < 1e-9 where admitted", 1e-9,
-                  pairs)
+    # admission widens with |n|: row 0 decides
+    admitted = [a for a in (0.0, 0.1, 1.0, 5.0, 20.0, 50.0) if series_admitted(0, a)]
+    worst = []
+    for a, (c, d) in zip(admitted, _closed_form_tables([(a, 64) for a in admitted])):
+        series = coeff_table(a, 64, "series")
+        worst.append(np.maximum(np.abs(series.c - c), np.abs(series.d - d)))
+
+    def label(i: int) -> str:  # i indexes the (a, n) grid
+        a, n = divmod(i, 65)
+        return f"(n={n}, a={admitted[a]})"
+
+    return _check_worst("method-cross-check", "series vs quadrature < 1e-9 where admitted",
+                        1e-9, worst, label)
+
+
+def _edge_ln_rates(d_over_lambda: float, ns) -> list:
+    """ln(N c_{N/2}(N d/lambda)) per N in ``ns``: the log of ``subradiant_edge(N, d).exact``.
+
+    The tables of every N come from one ``_closed_form_tables`` pass.
+    """
+    pairs = [(n * d_over_lambda, n // 2) for n in ns]
+    return [math.log(n * float(c[n // 2])) for n, (c, _) in zip(ns, _closed_form_tables(pairs))]
 
 
 def _slope_check(d_over_lambda: float, name: str) -> CheckResult:
-    ns = np.arange(16, 25, 2)
-    lnr = np.array([math.log(subradiant_edge(int(n), d_over_lambda).exact) for n in ns])
-    slope = float(np.polyfit(ns, lnr, 1)[0])
+    """The fitted slope of the edge mode's ln-rate over N = 16..24, against ln(e d/lambda).
+
+    The ln-rates are those of ``subradiant_edge(N, d/lambda).exact``, from
+    ``_edge_ln_rates``'s one table pass; the ``exact_ring`` tables that
+    ``subradiant_edge`` also builds are not read, so none is built.
+    """
+    ns = range(16, 25, 2)
+    slope = float(np.polyfit(ns, _edge_ln_rates(d_over_lambda, ns), 1)[0])
     target = 1.0 + math.log(d_over_lambda)
     return _check(name, f"edge-mode ln-rate slope within 5% of ln(e d/lambda) = {target:.4f}",
                   0.05, [(abs(slope / target - 1.0),

@@ -15,16 +15,9 @@ pocketfft, so ``pinned`` replaces every oracle-derived field by ``~``
 before hashing: the ``rate_oracle`` and ``abs_diff`` cells and the
 ``max_abs_diff`` line of ``spectrum --path both``, and the measured value
 and worst case of the four ``validate`` checks that read oracle rates.
-``test_golden.py`` checks those fields numerically instead.
-
-``sweep``'s grid is ``np.geomspace``, which calls numpy's ``log10`` and
-``power`` ufuncs.  Both dispatch on the CPU: on an AVX-512 (X86_V4) host
-they run a SIMD kernel whose results differ from the C library's ``pow``
-in the last bit at 3 of the 50 points of ``--grid-points 50`` (numpy
-2.4; ``NPY_DISABLE_CPU_FEATURES=X86_V4`` gives the C library's bits).
-So ``sweep`` bytes are pinned per platform: ``geomspace_probe`` is the
-hash of one grid on the host that wrote the corpus, and a host whose grid
-differs skips the ``sweep`` lines that print a grid.
+``test_golden.py`` checks those fields numerically instead.  ``sweep``'s
+grid comes from the C library's ``pow``, not from numpy's CPU-dispatched
+``log10`` and ``power``, so its bytes are pinned like the others.
 """
 
 from __future__ import annotations
@@ -38,8 +31,6 @@ import re
 import sys
 from pathlib import Path
 from unittest import mock
-
-import numpy as np
 
 from ringdecay.cli import main as cli_main
 
@@ -236,11 +227,6 @@ def pinned(argv, out, err):
     return out, err
 
 
-def sweep_grid_hash() -> str:
-    """SHA-256 of ``np.geomspace(0.05, 100.0, 50)``, the workloads' sweep grid."""
-    return hashlib.sha256(np.geomspace(0.05, 100.0, 50).tobytes()).hexdigest()
-
-
 def record(argv, code, out, err) -> dict:
     out, err = pinned(argv, out, err)
     data = out.encode("utf-8")
@@ -250,8 +236,8 @@ def record(argv, code, out, err) -> dict:
 
 def main() -> None:
     lines = [record(argv, *run(argv)) for argv in LINES]
-    CORPUS.write_text(json.dumps({"geomspace_probe": sweep_grid_hash(), "lines": lines},
-                                 indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    CORPUS.write_text(json.dumps({"lines": lines}, indent=1, ensure_ascii=False) + "\n",
+                      encoding="utf-8")
     print(f"wrote {len(lines)} lines to {CORPUS}", file=sys.stderr)
 
 

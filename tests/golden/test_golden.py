@@ -48,10 +48,6 @@ def check_oracle_fields(argv, out, err):
 @pytest.mark.parametrize("line", LINES, ids=[" ".join(line["argv"]) for line in LINES])
 def test_line(line):
     argv = line["argv"]
-    if (argv[0] == "sweep" and line["exit"] == 0
-            and golden.sweep_grid_hash() != CORPUS["geomspace_probe"]):
-        pytest.skip("np.geomspace rounds differently on this host (CPU-dispatched "
-                    "log10/power), so sweep's grid and rates differ in the last bits")
     code, out, err = golden.run(argv)
     assert golden.record(argv, code, out, err) == line
     if out:

@@ -595,6 +595,36 @@ class TestSweep:
         assert rows[0][0] == format(float(grid_min), ".17g")
         assert rows[-1][0] == format(float(grid_max), ".17g")
 
+    @pytest.mark.parametrize("lo, hi, points", [
+        (0.05, 100.0, 200), (0.05, 100.0, 10000), (1e-3, 1e300, 97), (0.04001, 0.05, 200),
+        (2000.0, 2000.0001, 30), (1.0, 2.0, 2), (1.0, 1.0000000000000002, 10),
+        (0.05, 0.05000000000000006, 50),  # inner points round below lo and above hi
+        (2000.0, 2000.000000000004, 7),  # an inner point rounds above hi
+    ])
+    def test_grid_never_falls_and_keeps_its_ends(self, lo, hi, points):
+        # the end checks in cmd_sweep cover every point only if no point leaves [lo, hi]
+        grid = cli._log_grid(lo, hi, points)
+        assert grid.size == points and (grid[0], grid[-1]) == (lo, hi)
+        assert np.all(grid[1:] >= grid[:-1])
+
+    @pytest.mark.parametrize("lo, hi, points", [(0.05, 100.0, 50), (0.05, 100.0, 200),
+                                                (1e-3, 1e300, 97), (0.3, 0.7, 7)])
+    def test_grid_is_pow_at_evenly_spaced_exponents(self, lo, hi, points):
+        # Python float arithmetic and the C library's pow, none of numpy's
+        # CPU-dispatched log10 or power: the bits of np.linspace's
+        # y_i = i ((y_hi - y_lo) / (n - 1)) + y_lo, then pow(10, y_i)
+        y_lo, y_hi = math.log10(lo), math.log10(hi)
+        step = (y_hi - y_lo) / (points - 1)
+        inner = [min(max(math.pow(10.0, i * step + y_lo), lo), hi) for i in range(1, points - 1)]
+        assert cli._log_grid(lo, hi, points).tolist() == [lo, *inner, hi]
+
+    def test_narrow_grid_prints_a_column_that_never_falls(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--k", "0", "--grid-min", "0.05",
+                                 "--grid-max", "0.05000000000000006", "--grid-points", "50")
+        assert (code, err) == (0, "")
+        lams = [float(row[0]) for row in csv_rows(out)[1]]
+        assert lams == sorted(lams) and (lams[0], lams[-1]) == (0.05, 0.05000000000000006)
+
     @pytest.mark.parametrize("points", [2, 7, 50])
     def test_one_lane_per_grid_point(self, capsys, monkeypatch, points):
         # the four rows at a grid point share one lane, a sweep for N//2 + 1 = 6 rows
@@ -608,7 +638,7 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--n-atoms", "10", "--k", "0,1,2,4",
                                  "--grid-points", str(points))
         assert (code, err) == (0, "")
-        grid = np.geomspace(0.05, 100.0, points)
+        grid = cli._log_grid(0.05, 100.0, points)
         assert sweeps == [(2.0 * cli._a_from_lambda_over_d(10, x), 13) for x in grid]
 
     @pytest.mark.parametrize("argv", [
@@ -629,7 +659,7 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", *argv)
         assert (code, err) == (0, "")
         args = cli._PARSER.parse_args(["sweep", *argv])
-        grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
+        grid = cli._log_grid(args.grid_min, args.grid_max, args.grid_points)
         assert seen == [[lattice_conversion(args.n_atoms, 1.0 / x) for x in grid.tolist()]]
 
     def test_one_lane_per_distinct_depth(self, capsys, monkeypatch):
@@ -641,7 +671,7 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--n-atoms", "300", "--k=-150,0,1,100,150",
                                "--grid-min", "1", "--grid-max", "1e60", "--grid-points", "40")
         assert (code, err) == (0, "")
-        a_values = [cli._a_from_lambda_over_d(300, x) for x in np.geomspace(1.0, 1e60, 40)]
+        a_values = [cli._a_from_lambda_over_d(300, x) for x in cli._log_grid(1.0, 1e60, 40)]
         expected = []
         for a in a_values:
             if a >= specfun._A_TINY:
@@ -672,7 +702,7 @@ class TestSweep:
         assert (code, err) == (0, "")
         args = cli._PARSER.parse_args(["sweep", *argv])
         ks, model = cli._parse_k_list(args.k), cli._model_from_args(args)
-        grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
+        grid = cli._log_grid(args.grid_min, args.grid_max, args.grid_points)
         rates = []
         for lam_over_d in grid:
             a = cli._a_from_lambda_over_d(args.n_atoms, lam_over_d)

@@ -8,6 +8,7 @@ coefficient spot values.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -208,6 +209,18 @@ class TestClosedFormLanes:
             assert np.array_equal(c_row[:depth + 1], c_ref), (a, depth)
             assert np.array_equal(d_row[:depth + 1], d_ref), (a, depth)
             assert read == (c_ref[0], d_ref[0]), (a, depth)
+
+    def test_tables_equal_coeff_table_bit_for_bit(self, blocks):
+        # every (a, n_max) of the grid, in a shuffled order, in one pass
+        pairs = [(a, n_max) for a in (0.0, 1e-8, 0.3, 5.0, 50.0, 2000.0, 1e4)
+                 for n_max in (0, 1, 64, alias_cutoff(a))]
+        random.Random(7).shuffle(pairs)
+        tables = specfun._closed_form_tables(pairs)
+        assert [block for block, _, _, _ in blocks] == [pairs]
+        assert len(tables) == len(pairs)
+        for (a, n_max), (c, d) in zip(pairs, tables):
+            table = coeff_table(a, n_max)
+            assert np.array_equal(c, table.c) and np.array_equal(d, table.d), (a, n_max)
 
     def test_blocks_stay_within_the_cap(self, blocks):
         self.read_lanes()

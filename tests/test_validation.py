@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 
+import pytest
+
 from ringdecay import (ModelKind, RingConfig, analytic_spectrum, coeff_c, coeff_d, coeff_table,
-                       oracle_spectrum, series_admitted, validation)
-from ringdecay.validation import (CheckResult, _check, _check_grid, _check_methods,
-                                  format_report, run_checks)
+                       oracle_spectrum, series_admitted, specfun, subradiant_edge, validation)
+from ringdecay.validation import (CheckResult, _check, _check_coefficient_sums, _check_grid,
+                                  _check_methods, _check_worst, _slope_check, format_report,
+                                  run_checks)
 
 # (name, requirement, tolerance), in report order
 CHECKS = [
@@ -64,6 +67,25 @@ class TestWorst:
         pairs = [(1.0, "(a)"), (2.0, "(b)"), (2.0, "(c)"), (0.5, "(d)")]
         assert _check("c", "r", 1.0, pairs) == CheckResult("c", "r", 2.0, 1.0, "(b)")
 
+    def test_nan_is_the_worst_value(self):
+        alone = _check("x", "r", 1e-9, [(math.nan, "here")])
+        assert (repr(alone.measured), alone.worst_case, alone.passed) == ("nan", "here", False)
+        pairs = [(1.0, "(a)"), (math.nan, "(b)"), (5.0, "(c)"), (math.nan, "(d)")]
+        first = _check("x", "r", 1e-9, pairs)
+        assert (repr(first.measured), first.worst_case, first.passed) == ("nan", "(b)", False)
+        assert "FAIL  x: r (measured nan, tolerance 1.0e-09 at (b))" == first.line()
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 0.0], [-1.0, -0.0, -2.0], [1.0, 2.0, 2.0, 0.5], [3.0, 1e-300],
+        [1.0, math.nan, 3.0, math.nan], [math.nan], [0.0, -math.inf, math.inf, math.nan],
+    ])
+    def test_argmax_path_agrees_with_every_pair(self, values):
+        labels = [f"({i})" for i in range(len(values))]
+        got = _check_worst("c", "r", 1.0, np.array(values), labels.__getitem__)
+        want = _check("c", "r", 1.0, list(zip(values, labels)))
+        assert (repr(got.measured), got.worst_case) == (repr(want.measured), want.worst_case)
+        assert got.passed == want.passed
+
 
 def per_spectrum_grid():
     """The grid checks as one loop per spectrum, each measure reduced on its own."""
@@ -113,3 +135,66 @@ def test_method_check_equals_per_coefficient_reference():
     result = _check_methods()
     assert result == _check(*CHECKS[13], pairs)
     assert result.passed
+
+
+def test_nan_oracle_rate_fails_the_oracle_checks_at_its_point(monkeypatch):
+    # NaNs at two grid points: every check that reads oracle rates reports the
+    # first in (N, a, model, route) order and fails, and the magic-angle check,
+    # which reads none, is unchanged
+    oracle_rates = validation._oracle_rates
+
+    def with_nans(n, a_values, models):
+        rates = oracle_rates(n, a_values, models)
+        if n == 10:
+            rates[3, 2, 1] = math.nan  # a = 3.7, the third grid model, mode 1
+        elif n == 25:
+            rates[0, 0, 0] = math.nan
+        return rates
+
+    monkeypatch.setattr(validation, "_oracle_rates", with_nans)
+    checks, magic = _check_grid()
+    where = f"(N=10, a=3.7, {validation.GRID_MODELS[2].label()})"
+    assert checks[0].name == "oracle-equivalence"
+    for check in checks:
+        assert (repr(check.measured), check.worst_case, check.passed) == ("nan", where, False)
+    assert magic == per_spectrum_grid()[1]
+
+
+@pytest.mark.parametrize("d_over_lambda", [0.1, 0.3])
+def test_slope_ln_rates_equal_subradiant_edge_bit_for_bit(d_over_lambda):
+    ns = range(16, 25, 2)
+    lnr = [math.log(subradiant_edge(n, d_over_lambda).exact) for n in ns]
+    assert validation._edge_ln_rates(d_over_lambda, ns) == lnr
+    slope = float(np.polyfit(np.arange(16, 25, 2), np.array(lnr), 1)[0])
+    target = 1.0 + math.log(d_over_lambda)
+    assert _slope_check(d_over_lambda, "s") == CheckResult(
+        "s", f"edge-mode ln-rate slope within 5% of ln(e d/lambda) = {target:.4f}",
+        abs(slope / target - 1.0), 0.05, f"(d/lambda={d_over_lambda}, measured slope {slope:.4f})")
+
+
+def test_coefficient_sums_equal_one_table_per_a():
+    expected = []
+    for name, req, tol in CHECKS[4:6]:
+        pairs = []
+        for a in (0.0, 1.0, 5.0, 20.0, 50.0):
+            table = coeff_table(a, math.ceil(a) + 40)
+            pairs.append((abs(table.c_sum() - 1.0) if name == "c-sum-rule"
+                          else abs(table.d_sum() - 1.0 / 3.0), f"(a={a})"))
+        expected.append(_check(name, req, tol, pairs))
+    assert _check_coefficient_sums() == expected
+
+
+def test_each_table_set_is_one_lane_pass(monkeypatch):
+    passes = []
+    lanes = specfun._closed_form_lanes
+    monkeypatch.setattr(specfun, "_closed_form_lanes",
+                        lambda block, width: passes.append(list(block)) or lanes(block, width))
+    _check_coefficient_sums()
+    _slope_check(0.3, "s")
+    _check_methods()
+    assert passes == [
+        [(a, math.ceil(a) + 40) for a in (0.0, 1.0, 5.0, 20.0, 50.0)],
+        [(n * 0.3, n // 2) for n in range(16, 25, 2)],
+        [(a, 64) for a in (0.0, 0.1, 1.0, 5.0)],
+        [(0.0, 64)],  # coeff_table(0.0, 64, "series"): the a = 0 values, no series
+    ]

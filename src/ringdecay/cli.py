@@ -52,12 +52,14 @@ VALIDATION_ERROR = 1
 BROKEN_PIPE = 141  # 128 + SIGPIPE, the code of a shell pipeline's killed writer
 
 
-# Largest sweep grid.  Each point runs one Miller sweep for a table of
-# N//2 + 1 rows (alias_cutoff(a) + 1 once N//2 reaches the cutoff), which
-# every mode at that point reads, and one more per mode past that depth.
-# The tables are formed a block of points at a time and never held for
-# the whole grid, so the ceiling bounds the run time, not the memory
-# (see the README for measured times and peak RSS).
+# Largest sweep grid.  The ceiling bounds the number of grid points, not
+# the run time.  Each point runs one Miller sweep for a table of N//2 + 1
+# rows (alias_cutoff(a) + 1 once N//2 reaches the cutoff), which every mode
+# at that point reads.  Each |k| past min(N//2, alias_cutoff(a)) adds one
+# more sweep, of depth |k|, per point, and no limit caps those yet.  The
+# memory is bounded by the lane blocks: the tables are formed a block of
+# points at a time and never held for the whole grid (see the README for
+# measured times and peak RSS).
 _MAX_GRID_POINTS = 10**4
 
 # Rows per ``%`` call: bounds the writer's Python objects, whatever the row count.

@@ -52,13 +52,9 @@ __all__ = [
     "lattice_conversion",
 ]
 
-# Largest atom count admitted.  Every spectrum array grows with N: at the
-# limit ``ringdecay spectrum --a 1e4 --path both`` took 25 s and peaked at
-# 0.55 GiB RSS on a 2-core Xeon VM, Python 3.11.  A prime N costs the oracle
-# more: at a = 0.5 it took 1.91 s and peaked at 1670 MiB RSS at N = 9999991,
-# against 0.24 s and 449 MiB at N = 1e7 (single runs, same VM).  The whole
-# ``ringdecay spectrum --n-atoms 9999991 --a 0.5 --path both > /dev/null``
-# took 35 s and peaked at 1747 MiB RSS (one run, same VM).
+# Largest atom count admitted.  Every spectrum array grows with N, and a
+# prime N costs the oracle more; the README's paragraph on the ceiling
+# gives measured times and peak RSS at this limit.
 _MAX_N_ATOMS = 10**7
 
 
@@ -161,16 +157,12 @@ def _dipole_mix(sinc: np.ndarray, j1x: np.ndarray, delta: float):
     return 1.5 * (sin2 * sinc + (3.0 * cos2 - 1.0) * j1x)
 
 
-def _vector_kernel(x: np.ndarray, delta: float):
-    """The aligned-dipole kernel at finite x and a tilt delta in [0, pi/2]."""
-    sinc = _scalar_kernel(x)
-    return _dipole_mix(sinc, _j1_over_x(x, sinc), delta)
-
-
 def vector_gamma_kernel(x, delta: float):
     """Aligned-dipole pair decay rate at tilt angle delta, 1 at x = 0."""
     delta = ModelKind.vectorial(delta).delta
-    out = _vector_kernel(_check_separation(x), delta)
+    x = _check_separation(x)
+    sinc = _scalar_kernel(x)
+    out = _dipole_mix(sinc, _j1_over_x(x, sinc), delta)
     return float(out) if out.ndim == 0 else out
 
 

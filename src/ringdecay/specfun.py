@@ -288,11 +288,6 @@ def _closed_form_tables(pairs) -> list:
     return [(c[i, :n_max + 1], d[i, :n_max + 1]) for i, (_, n_max) in enumerate(pairs)]
 
 
-def _coeff_closed_form(a: float, n_max: int):
-    """c_n(a) and d_n(a) for n = 0..n_max: the one-pair case of ``_closed_form_tables``."""
-    return _closed_form_tables([(a, n_max)])[0]
-
-
 def _check_a_and_method(a, method) -> float:
     a = _check_size_parameter(a)
     if method not in ("quadrature", "series"):
@@ -306,7 +301,7 @@ def _coeff(n, a, method, moment):
         raise ValueError(f"|order| = {n} exceeds supported limit {_MAX_COEFF_ORDER}")
     a = _check_a_and_method(a, method)
     if method == "quadrature" or a < _A_TINY:
-        c, d = _coeff_closed_form(a, n)
+        c, d = _closed_form_tables([(a, n)])[0]
         return float(c[n] if moment == 0 else d[n])
     if not series_admitted(n, a):
         raise ValueError("series unstable, use quadrature")
@@ -396,5 +391,5 @@ def coeff_table(a: float, n_max: int, method: str = "quadrature") -> Coefficient
         c = np.array([_coeff_series(n, a, 0) for n in range(n_max + 1)])
         d = np.array([_coeff_series(n, a, 2) for n in range(n_max + 1)])
     else:
-        c, d = _coeff_closed_form(a, n_max)
+        c, d = _closed_form_tables([(a, n_max)])[0]
     return CoefficientTable(a=a, n_max=n_max, c=c, d=d)

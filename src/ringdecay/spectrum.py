@@ -25,8 +25,8 @@ The private ``_fold`` sums the aliases of many (a, model) rows of one N
 in one ``np.bincount``, and ``analytic_spectrum`` is its one-row case;
 ``_analytic_rates`` forms each row's weights once for every N of a grid
 and folds each N in one pass.  ``_oracle_rates`` is one ``hfft`` over
-the kernel rows of ``ring_model._kernel_halves``, which owns the kernel;
-``coupling_matrix`` is its one-row case.
+the kernel rows of ``ring_model._kernel_halves``, which owns the kernel,
+and ``oracle_spectrum`` is its one-row case.
 
 The coefficients are the closed forms evaluated by one Bessel
 recurrence at Z = 2a; the power series in ``specfun`` is their
@@ -50,8 +50,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ring_model import (ModelKind, RingConfig, _check_n_atoms, _kernel_halves, coupling_matrix,
-                         lattice_conversion)
+# Nothing here calls coupling_matrix: benchmarks/spans.py looks it up on
+# this module to trace it.
+from .ring_model import (ModelKind, RingConfig, _check_n_atoms, _kernel_halves,  # noqa: F401
+                         coupling_matrix, lattice_conversion)
 from .specfun import (_MAX_COEFF_ORDER, CoefficientTable, _alias_cutoff, _check_integer,
                       _check_size_parameter, _closed_form_reads, coeff_c, coeff_table)
 
@@ -167,16 +169,15 @@ def oracle_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
     """Spectrum from the discrete Fourier transform of the kernel row.
 
     This is the definitional double sum reduced by circulant structure,
-    in O(N) memory since ``coupling_matrix`` returns the matrix as its
-    first row.  That row is real and even, so its transform is the real
-    transform of the N//2 + 1 distinct separations (``np.fft.hfft``).
-    The row is cropped first: ``hfft`` conjugates and casts all it is
-    given, so the whole row would add 12 bytes per atom.  It never
-    touches the coefficient machinery, which is what makes it an
-    independent check of ``analytic_spectrum``.
+    as the one-row case of ``_oracle_rates``.  The row is real and even,
+    so its transform is the real transform of its N//2 + 1 distinct
+    separations (``np.fft.hfft``), the only ones the kernel is evaluated
+    at: O(N) memory, and no whole row.  It never touches the coefficient
+    machinery, which is what makes it an independent check of
+    ``analytic_spectrum``.
     """
     n = config.n_atoms
-    rates = np.fft.hfft(coupling_matrix(config, model)[: n // 2 + 1], n)
+    rates = _oracle_rates(n, (config.size_parameter,), (model,))[0, 0]
     return DecaySpectrum(n_atoms=n, size_parameter=config.size_parameter, model=model, rates=rates)
 
 

@@ -161,7 +161,7 @@ LANES = [(0.0, 3), (1e-60, 40), (1e-3, 200), (1e-3, 0), (0.37, 0), (5.0, 2), (5.
 class TestClosedFormLanes:
     @pytest.mark.parametrize("a, depth", LANES)
     def test_one_lane_equals_reference_bit_for_bit(self, a, depth):
-        c, d = specfun._coeff_closed_form(a, depth)
+        c, d = specfun._closed_form_tables([(a, depth)])[0]
         c_ref, d_ref = closed_form_reference(a, depth)
         assert np.array_equal(c, c_ref) and np.array_equal(d, d_ref)
 

@@ -260,16 +260,17 @@ class TestBatchedRates:
     @pytest.mark.parametrize("model", [ALL_MODELS[0], ALL_MODELS[1]], ids=lambda m: m.label())
     def test_one_row_paths_hold_no_extra_n_sized_array(self, model):
         # Peaks in units of one N-sized float64 array at N = 2**20, a = 50, with
-        # the table already cached: the fold's bincount is scaled in place (1.0),
-        # the kernel row takes its chords, sin(x)/x and, for the dipoles,
-        # j1(x)/x at N/2 each plus the mirrored row (2.5 scalar, 3.06 dipole),
-        # and the oracle adds hfft's input and output (3.5).
+        # the table already cached: the fold's bincount is scaled in place (1.0);
+        # the kernel takes its chords, sin(x)/x and, for the dipoles, j1(x)/x at
+        # N/2 each, and the mirrored row adds N (2.5 scalar, 3.06 dipole); the
+        # oracle holds no mirrored row, only the half kernel, hfft's conjugated
+        # and complex copies of it, and the N rates (3.0 scalar, 3.06 dipole).
         import tracemalloc
 
         config = RingConfig(2**20, 50.0)
         analytic_spectrum(config, model)
         for path, bound in ((analytic_spectrum, 1.25), (ring_model.coupling_matrix, 3.25),
-                            (oracle_spectrum, 3.75)):
+                            (oracle_spectrum, 3.25)):
             tracemalloc.start()
             try:
                 path(config, model)

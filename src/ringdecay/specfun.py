@@ -31,7 +31,10 @@ Every coefficient is computable by two independent routes:
 * ``series``: direct summation of the alternating power series in log
   space with compensated accumulation.  The series is only admitted
   while its largest term cannot swamp double precision (a^2 < |n| + 40);
-  outside that range it refuses instead of returning noise.
+  outside that range it refuses instead of returning noise.  A single
+  coefficient is one scalar loop (``_coeff_series``); many at once, a
+  series table or ``validate``'s whole method cross-check, are one numpy
+  pass (``_series_batch``) with the scalar loop's bits.
 
 The closed forms run in lanes, one (a, depth) pair each: every lane runs
 its own recurrence, and one numpy pass forms c_n and d_n of a whole
@@ -164,6 +167,17 @@ def series_admitted(n: int, a: float) -> bool:
     return a * a < abs(n) + 40
 
 
+# Terms that one coefficient's series may take before it is refused as unconverged.
+_SERIES_MAX_TERMS = 5000
+
+
+def _series_first_term(n: int, a: float, w: int) -> float:
+    """Term 0 of the series, a^(2n) / ((2n)! (2n + w)), in log space for n > 0."""
+    if n == 0:
+        return 1.0 / w
+    return math.exp(2 * n * math.log(a) - math.lgamma(2 * n + 1) - math.log(2 * n + w))
+
+
 def _coeff_series(n: int, a: float, moment: int) -> float:
     """Alternating series for integral_0^1 t^moment J_{2n}(2at) dt.
 
@@ -171,12 +185,14 @@ def _coeff_series(n: int, a: float, moment: int) -> float:
     w = moment + 1.  The leading term is built in log space (it may
     underflow harmlessly for huge n); the rest follow by ratio
     recurrence with compensated summation.
+
+    ``_series_batch`` sums many coefficients with these bits in one numpy
+    pass, but one coefficient is cheaper here: a one-element numpy loop
+    costs tens of times this scalar loop, so single coefficients
+    (``coeff_c``/``coeff_d``) stay scalar.
     """
     w = moment + 1
-    if n == 0:
-        term = 1.0 / w
-    else:
-        term = math.exp(2 * n * math.log(a) - math.lgamma(2 * n + 1) - math.log(2 * n + w))
+    term = _series_first_term(n, a, w)
     total = term
     comp = 0.0
     a2 = a * a
@@ -190,8 +206,53 @@ def _coeff_series(n: int, a: float, moment: int) -> float:
         total = t
         if m > 4 and abs(term) <= 1e-20 * (abs(total) + 1e-300):
             return total
-        if m > 5000:
+        if m > _SERIES_MAX_TERMS:
             raise RuntimeError("coefficient series failed to converge")
+
+
+def _series_batch(ns, a_values, moments) -> np.ndarray:
+    """``_coeff_series(ns[i], a_values[i], moments[i])`` for every i, in one numpy pass.
+
+    Each step runs the scalar recurrence elementwise in its operation
+    order, the ratio's integers held exactly as floats, so every
+    coefficient has the scalar's bits.  A coefficient leaves the active
+    arrays at the term where the scalar loop returns, so none runs past
+    its stop.  The first terms are the scalar's, from ``math``.  Below
+    _A_TINY a coefficient is its a = 0 value, as in the closed form.  Each
+    (n, a) must be admitted.  Underflow is ignored, as Python float
+    arithmetic ignores it.
+    """
+    ns, a_values, moments = (np.asarray(x).tolist() for x in (ns, a_values, moments))
+    out = np.array([0.0 if n else 1.0 / (moment + 1) for n, moment in zip(ns, moments)])
+    slot = np.flatnonzero(np.array(a_values) >= _A_TINY)  # each summed coefficient's place in out
+    ns, a_values, moments = ([x[i] for i in slot.tolist()] for x in (ns, a_values, moments))
+    total = np.array(list(map(_series_first_term, ns, a_values, [m + 1 for m in moments])),
+                     dtype=float)
+    # -a^2, 2n and 2n + w - 2 per summed coefficient, all exact
+    neg_a2 = -np.square(np.array(a_values, dtype=float))
+    twice_n = 2.0 * np.array(ns, dtype=float)
+    base = twice_n + np.array(moments, dtype=float) - 1.0
+    term, comp = total.copy(), np.zeros_like(total)
+    m = 0
+    with np.errstate(under="ignore"):
+        while slot.size:
+            m += 1
+            # num = 2n + 2m + w - 2 and den = m (2n + m) (2n + 2m + w), exact integers
+            term *= (neg_a2 * (base + 2 * m)) / (m * (twice_n + m) * (base + (2 * m + 2)))
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            if m > 4:
+                done = np.abs(term) <= 1e-20 * (np.abs(total) + 1e-300)
+                if done.any():
+                    out[slot[done]] = total[done]
+                    keep = ~done
+                    slot, neg_a2, twice_n, base = (x[keep] for x in (slot, neg_a2, twice_n, base))
+                    term, comp, total = term[keep], comp[keep], total[keep]
+            if slot.size and m > _SERIES_MAX_TERMS:
+                raise RuntimeError("coefficient series failed to converge")
+    return out
 
 
 # Largest padded lane array, in elements (512 KiB of float64), that one block
@@ -374,10 +435,11 @@ def coeff_table(a: float, n_max: int, method: str = "quadrature") -> Coefficient
 
     The default ``quadrature`` route evaluates the closed forms from one
     downward-recurrence sweep at Z = 2a, so a full table costs about as
-    much as its largest coefficient.  The ``series`` route sums each
-    coefficient's power series separately and refuses where it is not
-    admitted.  A table cut below ``alias_cutoff(a)`` may miss weight; it
-    is returned all the same, and ``c_sum()`` and ``d_sum()`` show the miss.
+    much as its largest coefficient.  The ``series`` route sums every
+    coefficient's own power series, c and d together in one numpy pass,
+    and refuses where it is not admitted.  A table cut below
+    ``alias_cutoff(a)`` may miss weight; it is returned all the same, and
+    ``c_sum()`` and ``d_sum()`` show the miss.
     """
     n_max = _check_integer(n_max, "n_max")
     if n_max < 0:  # the sign first, however far below zero n_max is
@@ -385,11 +447,12 @@ def coeff_table(a: float, n_max: int, method: str = "quadrature") -> Coefficient
     if n_max > _MAX_COEFF_ORDER:
         raise ValueError(f"n_max = {n_max} exceeds supported limit {_MAX_COEFF_ORDER}")
     a = _check_a_and_method(a, method)
-    if method == "series" and a >= _A_TINY:
+    if method == "series":
         if not series_admitted(0, a):  # admission widens with |n|: row 0 decides the table
             raise ValueError("series unstable, use quadrature")
-        c = np.array([_coeff_series(n, a, 0) for n in range(n_max + 1)])
-        d = np.array([_coeff_series(n, a, 2) for n in range(n_max + 1)])
+        orders = np.arange(n_max + 1)
+        c, d = _series_batch(np.tile(orders, 2), np.full(2 * orders.size, a),
+                             np.repeat([0, 2], orders.size)).reshape(2, -1)
     else:
         c, d = _closed_form_tables([(a, n_max)])[0]
     return CoefficientTable(a=a, n_max=n_max, c=c, d=d)

@@ -212,12 +212,23 @@ def continuous_limit_rate(n_atoms: int, a, k, model: ModelKind | None = None):
     ks, k_axis = _checked_items(k, lambda x: _check_mode_index(x, n_atoms))
     if model is None:
         model = ModelKind.scalar()
+    c, d = _single_winding_terms(n_atoms, a_values, ks)
+    rates = n_atoms * _harmonic_rates(c, d, model)
+    shape = [len(values) for values, axis in ((a_values, a_axis), (ks, k_axis)) if axis]
+    return rates.reshape(shape) if shape else float(rates[0, 0])
+
+
+def _single_winding_terms(n_atoms: int, a_values: list, ks: list):
+    """c_|k|(a) and d_|k|(a) of ``continuous_limit_rate``, each of shape (len(a), len(k)).
+
+    The arguments must already be validated, each k as |k|.  Every model's
+    rates mix these same (c, d), so one read serves them all.
+    """
     orders = np.array(sorted(set(ks)), dtype=int)
     shared = np.array([min(n_atoms // 2, _alias_cutoff(x)) for x in a_values], dtype=int)
     c, d = _closed_form_reads(a_values, np.maximum(orders, shared[:, None]), orders)
-    rates = n_atoms * _harmonic_rates(c, d, model)[:, np.searchsorted(orders, ks)]
-    shape = [len(values) for values, axis in ((a_values, a_axis), (ks, k_axis)) if axis]
-    return rates.reshape(shape) if shape else float(rates[0, 0])
+    at = np.searchsorted(orders, ks)
+    return c[:, at], d[:, at]
 
 
 def _checked_items(values, check) -> tuple[list, bool]:

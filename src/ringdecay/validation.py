@@ -10,9 +10,11 @@ The checks share work in batches with the bits of the public calls: the
 spectrum grid is folded and transformed one N at a time (``_check_grid``),
 and each set of closed-form tables, those of the sum rules, of the
 method cross-check and of each edge-mode slope, is one
-``specfun._closed_form_tables`` pass.  Where a measure is an array, one
-``np.argmax`` picks its worst point and only that point's label is
-formatted.
+``specfun._closed_form_tables`` pass.  The method cross-check sums the
+series of every admitted coefficient in one ``specfun._series_batch``
+pass, and the two plateau checks mix both models' rates from one read
+of their one table.  Where a measure is an array, one ``np.argmax``
+picks its worst point and only that point's label is formatted.
 
 One check is expected to fail by construction: the subradiant-slope
 check compares the measured suppression rate of the edge mode at
@@ -31,13 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ring_model import ModelKind, RingConfig, lattice_conversion
-# Nothing here calls coeff_c or coeff_d: benchmarks/spans.py looks them up
-# on this module to trace them.
-from .specfun import (CoefficientTable, _closed_form_tables, coeff_c, coeff_d,  # noqa: F401
-                      coeff_table, series_admitted)
+# Nothing here calls coeff_c, coeff_d or coeff_table: benchmarks/spans.py looks
+# them up on this module to trace them.
+from .specfun import (CoefficientTable, _closed_form_tables, _series_batch, coeff_c,  # noqa: F401
+                      coeff_d, coeff_table, series_admitted)
 # Nor oracle_spectrum or subradiant_edge, which benchmarks/spans.py traces here too.
-from .spectrum import (_analytic_rates, _oracle_rates, analytic_spectrum, continuous_limit_rate,
-                       oracle_spectrum, subradiant_edge)  # noqa: F401
+from .spectrum import (_analytic_rates, _harmonic_rates, _oracle_rates,  # noqa: F401
+                       _single_winding_terms, analytic_spectrum, continuous_limit_rate,
+                       oracle_spectrum, subradiant_edge)
 
 __all__ = ["CheckResult", "run_checks", "format_report", "all_passed"]
 
@@ -176,16 +179,20 @@ def _check_dicke() -> list[CheckResult]:
 
 
 def _check_plateaus() -> list[CheckResult]:
+    """Single-winding rates of both models, mixed from one (c, d) read of their one table.
+
+    The rates are those of ``continuous_limit_rate(n, a, ks)`` per model.
+    """
     n = 10
     lam_over_d = 0.05
     a = lattice_conversion(n, 1.0 / lam_over_d)
-    vec = ModelKind.vectorial(0.0)
     ks = (0, 1, 2, 4)
     scalar, vector = lam_over_d / 2.0, 0.75 * lam_over_d
     where_s = f"(N={n}, lambda/d={lam_over_d})"
     where_v = f"(N={n}, lambda/d={lam_over_d}, delta=0)"
-    rates_s = continuous_limit_rate(n, a, ks).tolist()
-    rates_v = continuous_limit_rate(n, a, ks, model=vec).tolist()
+    c, d = _single_winding_terms(n, [a], ks)
+    rates_s, rates_v = ((n * _harmonic_rates(c, d, model))[0].tolist()
+                        for model in (ModelKind.scalar(), ModelKind.vectorial(0.0)))
     return [
         _check("scalar-plateau", "single-winding rates within 15% of (lambda/d)/2", 0.15,
                ((abs(rate - scalar) / scalar, where_s) for rate in rates_s)),
@@ -217,14 +224,16 @@ def _check_methods() -> CheckResult:
     with the quadrature table elementwise: the same series and closed-form
     values as one ``coeff_c``/``coeff_d`` call per (n, a).  The quadrature
     tables of every admitted a come from one ``_closed_form_tables`` pass,
-    and one ``np.argmax`` over the (a, n) grid picks the worst pair.
+    and the series of every (a, moment, n) from one ``_series_batch``
+    pass.  One ``np.argmax`` over the (a, n) grid picks the worst pair.
     """
     # admission widens with |n|: row 0 decides
     admitted = [a for a in (0.0, 0.1, 1.0, 5.0, 20.0, 50.0) if series_admitted(0, a)]
-    worst = []
-    for a, (c, d) in zip(admitted, _closed_form_tables([(a, 64) for a in admitted])):
-        series = coeff_table(a, 64, "series")
-        worst.append(np.maximum(np.abs(series.c - c), np.abs(series.d - d)))
+    quadrature = np.array(_closed_form_tables([(a, 64) for a in admitted]))  # (a, c | d, n)
+    # orders 0..64 of c, then of d, per a
+    series = _series_batch(np.tile(np.arange(65), 2 * len(admitted)), np.repeat(admitted, 2 * 65),
+                           np.tile(np.repeat([0, 2], 65), len(admitted)))
+    worst = np.max(np.abs(series.reshape(quadrature.shape) - quadrature), axis=1)
 
     def label(i: int) -> str:  # i indexes the (a, n) grid
         a, n = divmod(i, 65)

@@ -366,6 +366,84 @@ class TestMethodsAgree:
         assert not series_admitted(64, 10.2)
 
 
+def series_grid(seed, count):
+    """A shuffled grid of admitted (n, a, moment): n in [0, 1e5], a from 1e-49 up to the bound.
+
+    Half the a are log-uniform below sqrt(n + 40), half are the largest
+    admitted a there, where the series' terms outgrow the sum the most.
+    """
+    rng = random.Random(seed)
+    grid = []
+    while len(grid) < count:
+        n = rng.choice((rng.randrange(0, 200), rng.randrange(0, 10**5 + 1)))
+        top = math.nextafter(math.sqrt(n + 40), 0.0)
+        a = rng.choice((math.exp(rng.uniform(math.log(1e-49), math.log(top))), top))
+        if series_admitted(n, a):
+            grid.append((n, a, rng.choice((0, 2))))
+    top = math.nextafter(math.sqrt(10**5 + 40), 0.0)
+    grid += [(0, 1e-49, 0), (10**5, 1e-49, 2), (10**5, top, 0)]
+    rng.shuffle(grid)
+    return grid
+
+
+class TestSeriesBatch:
+    def test_equals_scalar_series_bit_for_bit(self):
+        grid = series_grid(11, 4000)
+        batch = specfun._series_batch(*zip(*grid))
+        scalar = np.array([specfun._coeff_series(n, a, moment) for n, a, moment in grid])
+        assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
+
+    def test_empty_input(self):
+        out = specfun._series_batch([], [], [])
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_below_a_tiny_is_the_a_zero_value(self):
+        # as coeff_c/coeff_d give it there, from the closed form
+        grid = [(n, a, moment) for n in (0, 1, 3, 10**5) for a in (0.0, 1e-300, 9.9e-51)
+                for moment in (0, 2)]
+        expect = [(coeff_c if moment == 0 else coeff_d)(n, a, "series") for n, a, moment in grid]
+        assert specfun._series_batch(*zip(*grid)).tolist() == expect
+        assert expect[:2] == [1.0, 1.0 / 3.0] and not any(expect[6:])
+
+    def test_no_floating_point_warning(self):
+        # every coefficient stops where its scalar loop returns, so nothing overflows
+        grid = series_grid(12, 500)
+        with np.errstate(all="raise"):
+            specfun._series_batch(*zip(*grid))
+
+    def test_series_table_is_one_batch(self, monkeypatch):
+        calls = []
+        batch = specfun._series_batch
+        monkeypatch.setattr(specfun, "_series_batch",
+                            lambda *args: calls.append([list(x) for x in args]) or batch(*args))
+        table = coeff_table(2.0, 25, method="series")
+        assert calls == [[[*range(26)] * 2, [2.0] * 52, [0] * 26 + [2] * 26]]
+        assert table.c.tolist() == [coeff_c(n, 2.0, "series") for n in range(26)]
+        assert table.d.tolist() == [coeff_d(n, 2.0, "series") for n in range(26)]
+
+    def test_shared_term_limit(self, monkeypatch):
+        # the lowest limit at which the scalar series of (n=0, a=5, c) converges: there the
+        # batch converges to the same bits, and one below it both paths raise
+        def converges(limit):
+            monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", limit)
+            try:
+                return specfun._coeff_series(0, 5.0, 0)
+            except RuntimeError:
+                return None
+
+        expect = specfun._coeff_series(0, 5.0, 0)
+        lowest = next(limit for limit in range(100) if converges(limit) is not None)
+        assert lowest > 5 and converges(lowest) == expect
+        assert specfun._series_batch([0], [5.0], [0]).tolist() == [expect]
+        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", lowest - 1)
+        for call in (lambda: specfun._coeff_series(0, 5.0, 0),
+                     lambda: specfun._series_batch([3, 0], [5.0, 5.0], [0, 0]),
+                     lambda: coeff_c(0, 5.0, "series"),
+                     lambda: coeff_table(5.0, 3, "series")):
+            with pytest.raises(RuntimeError, match="^coefficient series failed to converge$"):
+                call()
+
+
 class TestCoefficientTable:
     def test_a_zero_exact(self):
         table = coeff_table(0.0, 5)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ringdecay import (ModelKind, RingConfig, analytic_spectrum, coeff_c, coeff_d, coeff_table,
-                       oracle_spectrum, series_admitted, specfun, subradiant_edge, validation)
+                       continuous_limit_rate, lattice_conversion, oracle_spectrum,
+                       series_admitted, specfun, subradiant_edge, validation)
 from ringdecay.validation import (CheckResult, _check, _check_coefficient_sums, _check_grid,
                                   _check_methods, _check_worst, _slope_check, format_report,
                                   run_checks)
@@ -196,5 +197,56 @@ def test_each_table_set_is_one_lane_pass(monkeypatch):
         [(a, math.ceil(a) + 40) for a in (0.0, 1.0, 5.0, 20.0, 50.0)],
         [(n * 0.3, n // 2) for n in range(16, 25, 2)],
         [(a, 64) for a in (0.0, 0.1, 1.0, 5.0)],
-        [(0.0, 64)],  # coeff_table(0.0, 64, "series"): the a = 0 values, no series
     ]
+
+
+def test_method_check_is_one_series_pass(monkeypatch):
+    # every admitted a, both moments, orders 0..64, in one call
+    calls = []
+    batch = validation._series_batch
+    monkeypatch.setattr(validation, "_series_batch",
+                        lambda *args: calls.append([list(x) for x in args]) or batch(*args))
+    _check_methods()
+    assert calls == [[[*range(65)] * 8,
+                      [a for a in (0.0, 0.1, 1.0, 5.0) for _ in range(130)],
+                      ([0] * 65 + [2] * 65) * 4]]
+
+
+def plateau_args():
+    """The plateau check's (N, a, ks, scalar model, vector model)."""
+    return (10, lattice_conversion(10, 1.0 / 0.05), [0, 1, 2, 4], ModelKind.scalar(),
+            ModelKind.vectorial(0.0))
+
+
+def test_plateau_rates_equal_continuous_limit_calls_bit_for_bit(monkeypatch):
+    # the check's rates are N times its two mixes of one (c, d) read
+    n, a, ks, scalar, vector = plateau_args()
+    mixes = []
+    mix = validation._harmonic_rates
+    monkeypatch.setattr(validation, "_harmonic_rates",
+                        lambda c, d, model: mixes.append(mix(c, d, model)) or mixes[-1])
+    validation._check_plateaus()
+    assert len(mixes) == 2
+    for rates, model in zip(mixes, (scalar, vector)):
+        assert np.array_equal(n * rates[0], continuous_limit_rate(n, a, ks, model=model))
+
+
+def test_plateau_checks_equal_the_two_model_calls():
+    n, a, ks, scalar, vector = plateau_args()
+    expected = []
+    for model, target, (name, req, tol), where in (
+            (scalar, 0.05 / 2.0, CHECKS[8], "(N=10, lambda/d=0.05)"),
+            (vector, 0.75 * 0.05, CHECKS[9], "(N=10, lambda/d=0.05, delta=0)")):
+        rates = continuous_limit_rate(n, a, ks, model=model).tolist()
+        expected.append(_check(name, req, tol, [(abs(r - target) / target, where)
+                                                for r in rates]))
+    assert validation._check_plateaus() == expected
+
+
+def test_plateaus_run_one_miller_sweep(monkeypatch):
+    sweeps = []
+    sweep = specfun._miller_sweep
+    monkeypatch.setattr(specfun, "_miller_sweep",
+                        lambda x, top: sweeps.append((x, top)) or sweep(x, top))
+    validation._check_plateaus()
+    assert len(sweeps) == 1

@@ -19,7 +19,9 @@ text, and writes row -n as ``-`` + row n.  Where its table stops below
 exits 0.  ``spectrum --path analytic`` and ``--path both`` format only
 the analytic rates that are not +0.0 and write the rest as ``0``, the
 ``%.17g`` text of +0.0: most rates are exact zeros, every mode whose
-aliases all lie past ``alias_cutoff(a)``.  ``--path both`` also formats
+aliases all lie past ``alias_cutoff(a)``.  ``--path analytic`` writes
+each block run by run: one ``%`` per run of +0.0 rows, with one argument
+per row, and one per run of formatted rows.  ``--path both`` also formats
 each block's ``rate_oracle`` cells once: where the analytic rate is 0,
 abs_diff is |rate_oracle| bit for bit, so its cell is the oracle cell's
 text without a leading ``-``, and only the other rows format abs_diff.
@@ -95,6 +97,33 @@ def _g17_cells(values) -> list[str]:
     return ("%.17g\n" * len(values) % tuple(values.tolist())).split()
 
 
+def _analytic_block(ks: list, shown, cells: list[str]) -> str:
+    """One block of ``--path analytic`` rows, ``k,rate``, written run by run.
+
+    ``shown`` holds the ascending rows whose rate is formatted and ``cells``
+    their text; the rate of every other row is +0.0, written ``0``.  The
+    rows split at the edges of ``shown`` into maximal runs: each run of
+    +0.0 rows is one ``"%d,0\\n"`` ``%`` with one argument per row, and each
+    run of shown rows one ``"%d,%s\\n"`` ``%``.
+    """
+    # Where each maximal run of consecutive shown rows starts, as an index
+    # into ``shown``; the two sentinels make 0 and len(shown) cuts too.
+    cuts = np.flatnonzero(np.diff(shown, prepend=-2, append=len(ks) + 1) != 1).tolist()
+    rows = shown.tolist()
+    pieces = []
+    row = 0
+    for first, stop in zip(cuts, cuts[1:]):
+        lo, hi = rows[first], rows[stop - 1] + 1
+        if lo > row:
+            pieces.append(("%d,0\n" * (lo - row)) % tuple(ks[row:lo]))
+        pieces.append(("%d,%s\n" * (hi - lo))
+                      % tuple(chain.from_iterable(zip(ks[lo:hi], cells[first:stop]))))
+        row = hi
+    if row < len(ks):
+        pieces.append(("%d,0\n" * (len(ks) - row)) % tuple(ks[row:]))
+    return "".join(pieces)
+
+
 def _spectrum_chunks(ks, rate, oracle=None, diff=None):
     """The ``--path analytic`` CSV, or with ``oracle`` and ``diff`` the ``--path both``
     CSV: its header, then the rows ``_BLOCK_ROWS`` at a time.
@@ -102,7 +131,8 @@ def _spectrum_chunks(ks, rate, oracle=None, diff=None):
     Most analytic rates are exactly +0.0, every mode whose aliases all lie
     past ``alias_cutoff(a)``, and the ``%.17g`` text of +0.0 is ``0``.  So
     each block formats only the rate cells that are not +0.0 (-0.0, whose
-    text is ``-0``, included) and writes ``0`` for the rest.
+    text is ``-0``, included) and writes ``0`` for the rest; ``--path
+    analytic`` writes them one ``%`` per run (``_analytic_block``).
 
     Where the analytic rate is +-0.0, abs_diff = |rate - rate_oracle| is
     |rate_oracle| bit for bit, so its ``%.17g`` text is the oracle cell's
@@ -114,13 +144,13 @@ def _spectrum_chunks(ks, rate, oracle=None, diff=None):
         block = slice(start, start + _BLOCK_ROWS)
         rates = rate[block]
         shown = np.flatnonzero((rates != 0.0) | np.signbit(rates))
-        rate_cells = ["0"] * len(rates)
-        for i, cell in zip(shown.tolist(), _g17_cells(rates[shown])):
-            rate_cells[i] = cell
-        if oracle is None:  # two columns: one ``%`` per block is the fastest join
-            yield ("%d,%s\n" * len(rates)) % tuple(chain.from_iterable(
-                zip(ks[block].tolist(), rate_cells)))
+        cells = _g17_cells(rates[shown])
+        if oracle is None:
+            yield _analytic_block(ks[block].tolist(), shown, cells)
             continue
+        rate_cells = ["0"] * len(rates)
+        for i, cell in zip(shown.tolist(), cells):
+            rate_cells[i] = cell
         oracle_cells = _g17_cells(oracle[block])
         diff_cells = [cell.lstrip("-") for cell in oracle_cells]
         for i, cell in zip(shown.tolist(), _g17_cells(diff[block][shown])):

@@ -68,6 +68,7 @@ class TestWriter:
         assert data.decode().split("\n") == reference_lines("n,x,y", columns) + [""]
 
 
+_B = cli._BLOCK_ROWS
 # rates the spectrum writer skips (+0.0) or must still format (-0.0 prints "-0")
 RATE_EDGES = [0.0, -0.0, 5e-324, 0.0, 0.0, 2.5, 1e-300, 0.0, 0.1, 1 / 3, math.nan, 1e300]
 
@@ -98,6 +99,50 @@ class TestSpectrumWriter:
         out = "".join(cli._spectrum_chunks(ks, rates, oracle, diff))
         assert out.split("\n") == reference_lines("k,rate,rate_oracle,abs_diff",
                                                   (ks, rates, oracle, diff)) + [""]
+
+    # Run layouts over three blocks (the last of 5 rows): the rows whose rate
+    # is not +0.0, and their rates, as the run writer splits a block at their edges.
+    RUN_LAYOUTS = {
+        "band-mid-block": (slice(_B // 3, _B // 3 + 40), 2.5),
+        "band-across-seam": (slice(_B - 30, _B + 30), 1 / 3),
+        "block-first-and-last-rows": ([0, _B - 1, _B, 2 * _B - 1, 2 * _B, 2 * _B + 4], 0.1),
+        "zero-block-then-shown-block": (slice(_B, 2 * _B), 1e-300),
+        "lone-minus-zero-and-nan": ([_B // 2, _B // 2 + 7], [-0.0, math.nan]),
+    }
+
+    @classmethod
+    def run_layout(cls, layout):
+        """Columns of ``2 * _BLOCK_ROWS + 5`` rows whose rates are +0.0 but where
+        ``layout`` sets them; shown rates get distinct texts."""
+        ks, _, oracle = cls.columns(2 * _B + 5)
+        rates = np.zeros(len(ks))
+        rows, values = cls.RUN_LAYOUTS[layout]
+        rates[rows] = values
+        rates *= 1 + np.arange(len(ks)) / 7  # 0, -0 and nan keep their sign and bits
+        return ks, rates, oracle
+
+    @pytest.mark.parametrize("layout", RUN_LAYOUTS)
+    def test_analytic_runs_match_per_cell_reference(self, layout):
+        ks, rates, _ = self.run_layout(layout)
+        out = "".join(cli._spectrum_chunks(ks, rates))
+        assert out.split("\n") == reference_lines("k,rate", (ks, rates)) + [""]
+
+    @pytest.mark.parametrize("layout", RUN_LAYOUTS)
+    def test_both_runs_match_per_cell_reference(self, layout):
+        ks, rates, oracle = self.run_layout(layout)
+        diff = np.abs(rates - oracle)
+        out = "".join(cli._spectrum_chunks(ks, rates, oracle, diff))
+        assert out.split("\n") == reference_lines("k,rate,rate_oracle,abs_diff",
+                                                  (ks, rates, oracle, diff)) + [""]
+
+    def test_run_layouts_hold_their_blocks(self):
+        zero_block = self.run_layout("zero-block-then-shown-block")[1]
+        assert np.all(zero_block[:_B] == 0.0) and not np.any(np.signbit(zero_block[:_B]))
+        assert np.all(zero_block[_B:2 * _B] != 0.0)
+        lone = self.run_layout("lone-minus-zero-and-nan")[1]
+        assert np.signbit(lone[_B // 2]) and lone[_B // 2] == 0.0
+        assert math.isnan(lone[_B // 2 + 7])
+        assert np.count_nonzero((lone != 0.0) | np.signbit(lone)) == 2
 
     def test_formats_no_positive_zero_rate(self, monkeypatch):
         formatted = []

@@ -20,13 +20,12 @@ independent routes compute the same spectrum:
 
 The aliased sum and the transform agree to 1e-8 per mode; their
 equivalence over a parameter grid is the package's central invariant.
-A grid of spectra is built in batches with the bits of the public calls.
-The private ``_fold`` sums the aliases of many (a, model) rows of one N
-in one ``np.bincount``, and ``analytic_spectrum`` is its one-row case;
-``_analytic_rates`` forms each row's weights once for every N of a grid
-and folds each N in one pass.  ``_oracle_rates`` is one ``hfft`` over
-the kernel rows of ``ring_model._kernel_halves``, which owns the kernel,
-and ``oracle_spectrum`` is its one-row case.
+Each route is one batched private function that builds many (a, model)
+rows, and each public spectrum is its one-row case, so a grid of spectra
+has the bits of the public calls.  ``_analytic_rates`` forms each row's
+alias weights once for every N of a grid and folds every row of one N in
+one ``np.bincount``.  ``_oracle_rates`` is one ``hfft`` over the kernel
+rows of ``ring_model._kernel_halves``, which owns the kernel.
 
 The coefficients are the closed forms evaluated by one Bessel
 recurrence at Z = 2a; the power series in ``specfun`` is their
@@ -112,43 +111,31 @@ def _harmonic_rates(c: np.ndarray, d: np.ndarray, model: ModelKind):
     return 0.75 * ((1.0 + cos2) * c + (1.0 - 3.0 * cos2) * d)
 
 
-def _alias_terms(a: float, models):
-    """Orders -n_max..n_max of the table at a validated a, and their weights per model.
-
-    A weight is the rate per atom that its order carries, formed once for
-    every N.
-    """
-    table = _cached_table(a)
-    order = np.arange(-table.n_max, table.n_max + 1)
-    index = np.abs(order)
-    return order, [_harmonic_rates(table.c, table.d, model)[index] for model in models]
-
-
-def _fold(n: int, orders: np.ndarray, rows, weights: np.ndarray, count: int) -> np.ndarray:
-    """The aliased sums of ``count`` rows of N modes, in one ``np.bincount``.
-
-    Term t adds weights[t] to mode orders[t] mod N of row rows[t], so row r's
-    bins are offset by r N and never overlap another row's.  Each rate sums
-    its aliases in term order, as a fold of its row alone does.
-    """
-    # n times the fresh bincount is done in place
-    return n * np.bincount(orders % n + rows * n, weights=weights, minlength=count * n)
-
-
 def _analytic_rates(ns, a_values, models) -> list:
     """The aliased sums of every (a, model) row: one (a, model, N) array per N in ``ns``.
 
-    The weights are formed once for all N, and each N folds every row in
-    one pass.  The a and the models must already be validated.
+    Row r = i len(models) + j holds the orders -n_max..n_max of the table
+    at a_values[i] and the rate per atom that each carries under
+    models[j], formed once for every N.  Each N folds every row in one
+    ``np.bincount``: term t adds its weight to mode order mod N of its row,
+    whose bins are offset by r N and never overlap another row's, so each
+    rate sums its aliases in term order, as a fold of its row alone does.
+    The a and the models must already be validated.
     """
-    terms = []  # row r = i len(models) + j: the orders and weights of (a_values[i], models[j])
+    orders, weights = [], []
     for a in a_values:
-        order, weights = _alias_terms(a, models)
-        terms += [(order, weight) for weight in weights]
-    rows = np.repeat(np.arange(len(terms)), [order.size for order, _ in terms])
-    orders, weights = (np.concatenate(column) for column in zip(*terms))
-    return [_fold(n, orders, rows, weights, len(terms)).reshape(len(a_values), len(models), n)
-            for n in ns]
+        table = _cached_table(a)
+        order = np.arange(-table.n_max, table.n_max + 1)
+        index = np.abs(order)
+        for model in models:
+            orders.append(order)
+            weights.append(_harmonic_rates(table.c, table.d, model)[index])
+    count = len(weights)
+    rows = np.repeat(np.arange(count), [weight.size for weight in weights])
+    orders, weights = np.concatenate(orders), np.concatenate(weights)
+    # n times the fresh bincount is done in place
+    return [(n * np.bincount(orders % n + rows * n, weights=weights, minlength=count * n))
+            .reshape(len(a_values), len(models), n) for n in ns]
 
 
 def _oracle_rates(n: int, a_values, models) -> np.ndarray:
@@ -157,12 +144,10 @@ def _oracle_rates(n: int, a_values, models) -> np.ndarray:
 
 
 def analytic_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:
-    """Spectrum from the aliased coefficient sums: the one-row case of ``_fold``."""
+    """Spectrum from the aliased coefficient sums, as the one-row case of ``_analytic_rates``."""
     n = config.n_atoms
-    a = config.size_parameter
-    orders, (weights,) = _alias_terms(a, (model,))
-    rates = _fold(n, orders, 0, weights, 1)
-    return DecaySpectrum(n_atoms=n, size_parameter=a, model=model, rates=rates)
+    rates = _analytic_rates((n,), (config.size_parameter,), (model,))[0][0, 0]
+    return DecaySpectrum(n_atoms=n, size_parameter=config.size_parameter, model=model, rates=rates)
 
 
 def oracle_spectrum(config: RingConfig, model: ModelKind) -> DecaySpectrum:

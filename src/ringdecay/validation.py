@@ -13,8 +13,9 @@ method cross-check and of each edge-mode slope, is one
 ``specfun._closed_form_tables`` pass.  The method cross-check sums the
 series of every admitted coefficient in one ``specfun._series_batch``
 pass, and the two plateau checks mix both models' rates from one read
-of their one table.  Where a measure is an array, one ``np.argmax``
-picks its worst point and only that point's label is formatted.
+of their one table.  Every check is one ``_check`` call on the array of
+its measure in grid order: one ``np.argmax`` picks the worst point, and
+only that point's label is formatted.
 
 One check is expected to fail by construction: the subradiant-slope
 check compares the measured suppression rate of the edge mode at
@@ -76,29 +77,21 @@ class CheckResult:
         )
 
 
-def _check(name: str, requirement: str, tolerance: float, pairs) -> CheckResult:
-    """Reduce (value, label) pairs to their worst value and its label.
+def _check(name: str, requirement: str, tolerance: float, values, label) -> CheckResult:
+    """Reduce a measure to its worst value, labelled ``label(i)`` at its flat index i.
 
-    Starts from (0.0, ""), so a check that never exceeds 0 reports no
-    label, and only a strictly worse value moves the label: on a tie the
-    first pair in grid order wins.  A NaN is worse than any number, so the
-    first NaN pair is reported and fails the check.
-    """
-    measured, where = max([(0.0, ""), *pairs],
-                          key=lambda pair: (math.isnan(pair[0]), pair[0]))
-    return CheckResult(name, requirement, measured, tolerance, where)
-
-
-def _check_worst(name: str, requirement: str, tolerance: float, values, label) -> CheckResult:
-    """``_check`` over ``values`` in grid order, formatting only the worst one's label.
-
-    ``np.argmax`` picks the first maximum, or the first NaN, as ``_check``
-    does over every pair, so ``_check`` gets that one pair with
-    ``label(index)`` and keeps its 0.0 floor.
+    ``values`` is read flat in grid order, and the first ``np.argmax``
+    picks the worst point: on a tie the first wins, and a NaN is worse
+    than any number, so the first NaN is reported and fails the check.  A
+    worst value that is not above 0 reports 0.0 with no label.  Only the
+    worst point's label is formatted.  An empty measure raises ValueError.
     """
     values = np.ravel(values)
     i = int(np.argmax(values))
-    return _check(name, requirement, tolerance, [(float(values[i]), label(i))])
+    measured = float(values[i])
+    if measured <= 0.0:
+        return CheckResult(name, requirement, 0.0, tolerance)
+    return CheckResult(name, requirement, measured, tolerance, label(i))
 
 
 def _check_grid() -> tuple[list[CheckResult], CheckResult]:
@@ -144,14 +137,13 @@ def _check_grid() -> tuple[list[CheckResult], CheckResult]:
         return f"(N={GRID_N[n]}, a={GRID_A[a]})"
 
     return [
-        _check_worst("oracle-equivalence", "max |Δ| < 1e-8", 1e-8, diff, spectrum_label),
-        _check_worst("trace-sum-rule", "max |sum_k rate_k - N| < 1e-9", 1e-9, trace,
-                     route_label),
-        _check_worst("mode-nonnegativity", "rates above -1e-10", 1e-10, neg, route_label),
-        _check_worst("reflection-symmetry", "max |rate_k - rate_{N-k}| < 1e-12", 1e-12, sym,
-                     route_label),
-    ], _check_worst("magic-angle", "vectorial at cos^2(delta)=1/3 equals scalar within 1e-12",
-                    1e-12, magic, magic_label)
+        _check("oracle-equivalence", "max |Δ| < 1e-8", 1e-8, diff, spectrum_label),
+        _check("trace-sum-rule", "max |sum_k rate_k - N| < 1e-9", 1e-9, trace, route_label),
+        _check("mode-nonnegativity", "rates above -1e-10", 1e-10, neg, route_label),
+        _check("reflection-symmetry", "max |rate_k - rate_{N-k}| < 1e-12", 1e-12, sym,
+               route_label),
+    ], _check("magic-angle", "vectorial at cos^2(delta)=1/3 equals scalar within 1e-12",
+              1e-12, magic, magic_label)
 
 
 def _check_coefficient_sums() -> list[CheckResult]:
@@ -159,22 +151,30 @@ def _check_coefficient_sums() -> list[CheckResult]:
     pairs = [(a, math.ceil(a) + 40) for a in (0.0, 1.0, 5.0, 20.0, 50.0)]
     tables = [CoefficientTable(a, n_max, c, d)
               for (a, n_max), (c, d) in zip(pairs, _closed_form_tables(pairs))]
+
+    def label(i: int) -> str:  # i indexes the tables
+        return f"(a={tables[i].a})"
+
     return [
         _check("c-sum-rule", "|c_0 + 2 sum c_n - 1| < 1e-9", 1e-9,
-               ((abs(t.c_sum() - 1.0), f"(a={t.a})") for t in tables)),
+               [abs(t.c_sum() - 1.0) for t in tables], label),
         _check("d-sum-rule", "|d_0 + 2 sum d_n - 1/3| < 1e-9", 1e-9,
-               ((abs(t.d_sum() - 1.0 / 3.0), f"(a={t.a})") for t in tables)),
+               [abs(t.d_sum() - 1.0 / 3.0) for t in tables], label),
     ]
 
 
 def _check_dicke() -> list[CheckResult]:
     models = (ModelKind.scalar(), ModelKind.vectorial(0.0), ModelKind.vectorial(math.pi / 3))
-    spectra = [(analytic_spectrum(RingConfig(10, 1e-8), m), f"({m.label()})") for m in models]
+    rates = np.array([analytic_spectrum(RingConfig(10, 1e-8), m).rates for m in models])
+
+    def label(i: int) -> str:  # i indexes the models
+        return f"({models[i].label()})"
+
     return [
         _check("dicke-superradiant", "|rate_0 - N| < 1e-4 at a = 1e-8", 1e-4,
-               ((abs(s.rate(0) - 10.0), label) for s, label in spectra)),
+               np.abs(rates[:, 0] - 10.0), label),
         _check("dicke-dark", "other modes < 1e-6 at a = 1e-8", 1e-6,
-               ((float(np.max(s.rates[1:])), label) for s, label in spectra)),
+               np.max(rates[:, 1:], axis=1), label),
     ]
 
 
@@ -188,31 +188,30 @@ def _check_plateaus() -> list[CheckResult]:
     a = lattice_conversion(n, 1.0 / lam_over_d)
     ks = (0, 1, 2, 4)
     scalar, vector = lam_over_d / 2.0, 0.75 * lam_over_d
-    where_s = f"(N={n}, lambda/d={lam_over_d})"
-    where_v = f"(N={n}, lambda/d={lam_over_d}, delta=0)"
     c, d = _single_winding_terms(n, [a], ks)
-    rates_s, rates_v = ((n * _harmonic_rates(c, d, model))[0].tolist()
+    rates_s, rates_v = ((n * _harmonic_rates(c, d, model))[0]
                         for model in (ModelKind.scalar(), ModelKind.vectorial(0.0)))
     return [
         _check("scalar-plateau", "single-winding rates within 15% of (lambda/d)/2", 0.15,
-               ((abs(rate - scalar) / scalar, where_s) for rate in rates_s)),
+               np.abs(rates_s - scalar) / scalar, lambda i: f"(N={n}, lambda/d={lam_over_d})"),
         _check("vector-plateau", "single-winding rates within 15% of (3/4)(lambda/d)", 0.15,
-               ((abs(rate - vector) / vector, where_v) for rate in rates_v)),
+               np.abs(rates_v - vector) / vector,
+               lambda i: f"(N={n}, lambda/d={lam_over_d}, delta=0)"),
     ]
 
 
 def _check_dark_modes() -> CheckResult:
-    spec = analytic_spectrum(RingConfig(40, 5.0), ModelKind.scalar())
+    rates = analytic_spectrum(RingConfig(40, 5.0), ModelKind.scalar()).rates
     return _check("dark-modes", "rates for 16 <= |k| <= N/2 below 1e-6 at (N=40, a=5)", 1e-6,
-                  ((spec.rate(k), "") for k in range(16, 25)))
+                  rates[16:25], lambda i: "")
 
 
 def _check_continuous_limit() -> CheckResult:
-    spec = analytic_spectrum(RingConfig(20, 3.0), ModelKind.scalar())
-    ks = range(-10, 11)
-    single = continuous_limit_rate(20, 3.0, ks).tolist()
+    """Modes k = -10..10 of the N = 20 spectrum, a negative k read as k + N."""
+    rates = analytic_spectrum(RingConfig(20, 3.0), ModelKind.scalar()).rates
+    ks = np.arange(-10, 11)
     return _check("continuous-limit", "aliased vs single-winding < 1e-9 at (N=20, a=3)", 1e-9,
-                  ((abs(spec.rate(k) - rate), "") for k, rate in zip(ks, single)))
+                  np.abs(rates[ks] - continuous_limit_rate(20, 3.0, ks)), lambda i: "")
 
 
 def _check_methods() -> CheckResult:
@@ -239,8 +238,8 @@ def _check_methods() -> CheckResult:
         a, n = divmod(i, 65)
         return f"(n={n}, a={admitted[a]})"
 
-    return _check_worst("method-cross-check", "series vs quadrature < 1e-9 where admitted",
-                        1e-9, worst, label)
+    return _check("method-cross-check", "series vs quadrature < 1e-9 where admitted", 1e-9,
+                  worst, label)
 
 
 def _edge_ln_rates(d_over_lambda: float, ns) -> list:
@@ -263,8 +262,8 @@ def _slope_check(d_over_lambda: float, name: str) -> CheckResult:
     slope = float(np.polyfit(ns, _edge_ln_rates(d_over_lambda, ns), 1)[0])
     target = 1.0 + math.log(d_over_lambda)
     return _check(name, f"edge-mode ln-rate slope within 5% of ln(e d/lambda) = {target:.4f}",
-                  0.05, [(abs(slope / target - 1.0),
-                          f"(d/lambda={d_over_lambda}, measured slope {slope:.4f})")])
+                  0.05, abs(slope / target - 1.0),
+                  lambda i: f"(d/lambda={d_over_lambda}, measured slope {slope:.4f})")
 
 
 def run_checks() -> list[CheckResult]:

@@ -1,4 +1,4 @@
-"""Validation grid: the check list, the worst-case reducer, the method cross-check."""
+"""Validation grid: the check list, the worst-case reducer, the per-check references."""
 
 import math
 
@@ -10,8 +10,7 @@ from ringdecay import (ModelKind, RingConfig, analytic_spectrum, coeff_c, coeff_
                        continuous_limit_rate, lattice_conversion, oracle_spectrum,
                        series_admitted, specfun, subradiant_edge, validation)
 from ringdecay.validation import (CheckResult, _check, _check_coefficient_sums, _check_grid,
-                                  _check_methods, _check_worst, _slope_check, format_report,
-                                  run_checks)
+                                  _check_methods, _slope_check, format_report, run_checks)
 
 # (name, requirement, tolerance), in report order
 CHECKS = [
@@ -59,33 +58,84 @@ def test_all_passed_report_has_no_failed_line():
     assert "failed" not in report
 
 
+def pairs_check(name, requirement, tolerance, pairs):
+    """The reducer over (value, label) pairs that ``_check`` replaces: its reference.
+
+    Starts from (0.0, ""), so a check that never exceeds 0 reports no
+    label; only a strictly worse value moves the label, so the first pair
+    wins a tie; a NaN is worse than any number, so the first NaN wins.
+    """
+    measured, where = max([(0.0, ""), *pairs], key=lambda pair: (math.isnan(pair[0]), pair[0]))
+    return CheckResult(name, requirement, measured, tolerance, where)
+
+
+def labels_of(values):
+    return [f"({i})" for i in range(len(values))]
+
+
 class TestWorst:
     def test_all_zeros_give_no_label(self):
-        assert _check("c", "r", 1.0, [(0.0, "(a)"), (0.0, "(b)")]) == CheckResult("c", "r", 0.0, 1.0)
-        assert _check("c", "r", 1.0, []) == CheckResult("c", "r", 0.0, 1.0)
+        for values in ([0.0, 0.0], [-0.0], [-1.0, -0.0, -2.0], [-math.inf]):
+            got = _check("c", "r", 1.0, values, labels_of(values).__getitem__)
+            assert got == CheckResult("c", "r", 0.0, 1.0)
+            assert repr(got.measured) == "0.0"  # a -0.0 worst value reports +0.0
 
     def test_first_label_wins_a_tie(self):
-        pairs = [(1.0, "(a)"), (2.0, "(b)"), (2.0, "(c)"), (0.5, "(d)")]
-        assert _check("c", "r", 1.0, pairs) == CheckResult("c", "r", 2.0, 1.0, "(b)")
+        values = [1.0, 2.0, 2.0, 0.5]
+        got = _check("c", "r", 1.0, values, "(a) (b) (c) (d)".split().__getitem__)
+        assert got == CheckResult("c", "r", 2.0, 1.0, "(b)")
 
     def test_nan_is_the_worst_value(self):
-        alone = _check("x", "r", 1e-9, [(math.nan, "here")])
+        alone = _check("x", "r", 1e-9, [math.nan], lambda i: "here")
         assert (repr(alone.measured), alone.worst_case, alone.passed) == ("nan", "here", False)
-        pairs = [(1.0, "(a)"), (math.nan, "(b)"), (5.0, "(c)"), (math.nan, "(d)")]
-        first = _check("x", "r", 1e-9, pairs)
+        values = [1.0, math.nan, 5.0, math.nan]
+        first = _check("x", "r", 1e-9, values, "(a) (b) (c) (d)".split().__getitem__)
         assert (repr(first.measured), first.worst_case, first.passed) == ("nan", "(b)", False)
         assert "FAIL  x: r (measured nan, tolerance 1.0e-09 at (b))" == first.line()
+
+    def test_values_are_read_flat_in_grid_order(self):
+        values = np.array([[0.5, 3.0], [3.0, 1.0]])
+        assert _check("c", "r", 1.0, values, str) == CheckResult("c", "r", 3.0, 1.0, "1")
+        assert _check("c", "r", 1.0, 0.25, str) == CheckResult("c", "r", 0.25, 1.0, "0")
+
+    def test_empty_measure_raises(self):
+        # no check passes an empty measure; the pairs reducer reported 0.0 for one
+        with pytest.raises(ValueError):
+            _check("c", "r", 1.0, [], str)
+        with pytest.raises(ValueError):
+            _check("c", "r", 1.0, np.zeros((3, 0)), str)
 
     @pytest.mark.parametrize("values", [
         [0.0, 0.0], [-1.0, -0.0, -2.0], [1.0, 2.0, 2.0, 0.5], [3.0, 1e-300],
         [1.0, math.nan, 3.0, math.nan], [math.nan], [0.0, -math.inf, math.inf, math.nan],
+        [-0.0], [-math.inf, math.inf], [-math.inf],
     ])
-    def test_argmax_path_agrees_with_every_pair(self, values):
-        labels = [f"({i})" for i in range(len(values))]
-        got = _check_worst("c", "r", 1.0, np.array(values), labels.__getitem__)
-        want = _check("c", "r", 1.0, list(zip(values, labels)))
+    def test_agrees_with_the_pairs_reducer(self, values):
+        labels = labels_of(values)
+        calls = []
+        got = _check("c", "r", 1.0, np.array(values), lambda i: calls.append(i) or labels[i])
+        want = pairs_check("c", "r", 1.0, list(zip(values, labels)))
         assert (repr(got.measured), got.worst_case) == (repr(want.measured), want.worst_case)
         assert got.passed == want.passed
+        assert len(calls) == (1 if want.worst_case else 0)
+
+
+def test_each_check_formats_at_most_one_label(monkeypatch):
+    counts = []
+    check = validation._check
+
+    def counting(name, requirement, tolerance, values, label):
+        counts.append([name, 0])
+
+        def counted(i):
+            counts[-1][1] += 1
+            return label(i)
+        return check(name, requirement, tolerance, values, counted)
+
+    monkeypatch.setattr(validation, "_check", counting)
+    results = run_checks()
+    assert sorted(name for name, _ in counts) == sorted(r.name for r in results)  # one each
+    assert all(calls <= 1 for _, calls in counts), counts
 
 
 def per_spectrum_grid():
@@ -109,9 +159,9 @@ def per_spectrum_grid():
                     scalar = ana.rates
             tilted = analytic_spectrum(config, magic_model).rates
             magic.append((float(np.max(np.abs(tilted - scalar))), f"(N={n}, a={a})"))
-    return [_check(name, req, tol, pairs)
+    return [pairs_check(name, req, tol, pairs)
             for (name, req, tol), pairs in zip(CHECKS[:4], (diff, trace, neg, sym))], \
-        _check(*CHECKS[12], magic)
+        pairs_check(*CHECKS[12], magic)
 
 
 def test_stacked_grid_equals_the_per_spectrum_loop():
@@ -134,7 +184,7 @@ def test_method_check_equals_per_coefficient_reference():
                 pairs.append((max(dc, dd), f"(n={n}, a={a})"))
     assert len(pairs) == 4 * 65  # a <= 5 admits every order 0..64, a = 20 and 50 none
     result = _check_methods()
-    assert result == _check(*CHECKS[13], pairs)
+    assert result == pairs_check(*CHECKS[13], pairs)
     assert result.passed
 
 
@@ -181,7 +231,7 @@ def test_coefficient_sums_equal_one_table_per_a():
             table = coeff_table(a, math.ceil(a) + 40)
             pairs.append((abs(table.c_sum() - 1.0) if name == "c-sum-rule"
                           else abs(table.d_sum() - 1.0 / 3.0), f"(a={a})"))
-        expected.append(_check(name, req, tol, pairs))
+        expected.append(pairs_check(name, req, tol, pairs))
     assert _check_coefficient_sums() == expected
 
 
@@ -238,8 +288,8 @@ def test_plateau_checks_equal_the_two_model_calls():
             (scalar, 0.05 / 2.0, CHECKS[8], "(N=10, lambda/d=0.05)"),
             (vector, 0.75 * 0.05, CHECKS[9], "(N=10, lambda/d=0.05, delta=0)")):
         rates = continuous_limit_rate(n, a, ks, model=model).tolist()
-        expected.append(_check(name, req, tol, [(abs(r - target) / target, where)
-                                                for r in rates]))
+        expected.append(pairs_check(name, req, tol, [(abs(r - target) / target, where)
+                                                     for r in rates]))
     assert validation._check_plateaus() == expected
 
 
@@ -250,3 +300,23 @@ def test_plateaus_run_one_miller_sweep(monkeypatch):
                         lambda x, top: sweeps.append((x, top)) or sweep(x, top))
     validation._check_plateaus()
     assert len(sweeps) == 1
+
+
+def test_mode_checks_equal_one_public_call_per_mode():
+    # dicke-superradiant, dicke-dark, dark-modes and continuous-limit, each
+    # from one rate(k) per mode and one continuous_limit_rate per k, exactly
+    scalar = ModelKind.scalar()
+    models = (scalar, ModelKind.vectorial(0.0), ModelKind.vectorial(math.pi / 3))
+    dicke = [(analytic_spectrum(RingConfig(10, 1e-8), m), f"({m.label()})") for m in models]
+    assert validation._check_dicke() == [
+        pairs_check(*CHECKS[6], [(abs(s.rate(0) - 10.0), where) for s, where in dicke]),
+        pairs_check(*CHECKS[7], [(max(s.rate(k) for k in range(1, 10)), where)
+                                 for s, where in dicke]),
+    ]
+    dark = analytic_spectrum(RingConfig(40, 5.0), scalar)
+    assert validation._check_dark_modes() == pairs_check(
+        *CHECKS[10], [(dark.rate(k), "") for k in range(16, 25)])
+    spec = analytic_spectrum(RingConfig(20, 3.0), scalar)
+    assert validation._check_continuous_limit() == pairs_check(
+        *CHECKS[11], [(abs(spec.rate(k) - continuous_limit_rate(20, 3.0, k)), "")
+                      for k in range(-10, 11)])

@@ -342,8 +342,11 @@ def _closed_form_tables(pairs) -> list:
 
     Every pair is a lane of one ``_closed_form_lanes`` pass as wide as its
     widest lane, and row i is cut to n_max_i + 1 orders, so each table has
-    the bits of the table built alone.  The a must be validated; the pass
-    holds every lane at once, so the pairs should fit one block.
+    the bits of the table built alone.  The a must be validated.  The pass
+    holds every lane at once, so its callers keep to a few lanes: one in
+    ``coeff_table``, ``coeff_c`` and ``coeff_d``, two in ``subradiant_edge``,
+    one per a in ``spectrum._analytic_rates`` (``validate``'s grid is 6
+    lanes of at most 419 orders), and at most five in each validation check.
     """
     c, d = _closed_form_lanes(pairs, max([_lane_width(*pair) for pair in pairs]))
     return [(c[i, :n_max + 1], d[i, :n_max + 1]) for i, (_, n_max) in enumerate(pairs)]

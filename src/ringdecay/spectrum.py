@@ -30,10 +30,10 @@ rows of ``ring_model._kernel_halves``, which owns the kernel.
 The coefficients are the closed forms evaluated by one Bessel
 recurrence at Z = 2a; the power series in ``specfun`` is their
 independent second route.  Every spectrum at a reads the table of depth
-``alias_cutoff(a)``, built by ``coeff_table`` and held in the module's
-one cache.  A single-winding rate at (a, k) reads row |k| of the table
-of depth max(|k|, min(N//2, alias_cutoff(a))), uncached; ``specfun``
-builds those tables.
+``alias_cutoff(a)``; a grid's tables are built together, in one
+``specfun._closed_form_tables`` pass, and none is kept between calls.  A
+single-winding rate at (a, k) reads row |k| of the table of depth
+max(|k|, min(N//2, alias_cutoff(a))); ``specfun`` builds those tables.
 
 Asymptotic companions: the single-winding (continuum-limit) rate
 N c_k(a), the even-N subradiant edge rate with its exponential estimate,
@@ -44,17 +44,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-# Nothing here calls coupling_matrix: benchmarks/spans.py looks it up on
-# this module to trace it.
+# Nothing here calls coupling_matrix, coeff_c or coeff_table: benchmarks/spans.py
+# looks them up on this module to trace them.
 from .ring_model import (ModelKind, RingConfig, _check_n_atoms, _kernel_halves,  # noqa: F401
                          coupling_matrix, lattice_conversion)
-from .specfun import (_MAX_COEFF_ORDER, CoefficientTable, _alias_cutoff, _check_integer,
-                      _check_size_parameter, _closed_form_reads, coeff_c, coeff_table)
+from .specfun import (_MAX_COEFF_ORDER, _alias_cutoff, _check_integer,  # noqa: F401
+                      _check_size_parameter, _closed_form_reads, _closed_form_tables, coeff_c,
+                      coeff_table)
 
 __all__ = [
     "DecaySpectrum",
@@ -94,12 +94,6 @@ class DecaySpectrum:
         return math.fsum(self.rates.tolist())
 
 
-@lru_cache(maxsize=128)
-def _cached_table(a: float) -> CoefficientTable:
-    """Rows 0..alias_cutoff(a) at a validated a: the spectrum's tables, the one cache."""
-    return coeff_table(a, _alias_cutoff(a))
-
-
 def _harmonic_rates(c: np.ndarray, d: np.ndarray, model: ModelKind):
     """Rate per atom carried by c_n and d_n, elementwise.
 
@@ -114,22 +108,22 @@ def _harmonic_rates(c: np.ndarray, d: np.ndarray, model: ModelKind):
 def _analytic_rates(ns, a_values, models) -> list:
     """The aliased sums of every (a, model) row: one (a, model, N) array per N in ``ns``.
 
-    Row r = i len(models) + j holds the orders -n_max..n_max of the table
-    at a_values[i] and the rate per atom that each carries under
-    models[j], formed once for every N.  Each N folds every row in one
-    ``np.bincount``: term t adds its weight to mode order mod N of its row,
-    whose bins are offset by r N and never overlap another row's, so each
-    rate sums its aliases in term order, as a fold of its row alone does.
-    The a and the models must already be validated.
+    The tables of every a, rows 0..alias_cutoff(a), come from one
+    ``_closed_form_tables`` pass.  Row r = i len(models) + j holds the
+    orders -n_max..n_max of the table at a_values[i] and the rate per atom
+    that each carries under models[j], formed once for every N.  Each N
+    folds every row in one ``np.bincount``: term t adds its weight to mode
+    order mod N of its row, whose bins are offset by r N and never overlap
+    another row's, so each rate sums its aliases in term order, as a fold
+    of its row alone does.  The a and the models must already be validated.
     """
     orders, weights = [], []
-    for a in a_values:
-        table = _cached_table(a)
-        order = np.arange(-table.n_max, table.n_max + 1)
+    for c, d in _closed_form_tables([(a, _alias_cutoff(a)) for a in a_values]):
+        order = np.arange(1 - c.size, c.size)
         index = np.abs(order)
         for model in models:
             orders.append(order)
-            weights.append(_harmonic_rates(table.c, table.d, model)[index])
+            weights.append(_harmonic_rates(c, d, model)[index])
     count = len(weights)
     rows = np.repeat(np.arange(count), [weight.size for weight in weights])
     orders, weights = np.concatenate(orders), np.concatenate(weights)
@@ -256,12 +250,13 @@ def subradiant_edge(n_atoms: int, d_over_lambda: float) -> SubradiantEdge:
     if half > _MAX_COEFF_ORDER:
         raise ValueError(f"n_atoms = {n_atoms} puts the edge mode N/2 = {half} above the "
                          f"coefficient order limit {_MAX_COEFF_ORDER}")
-    exact = n_atoms * coeff_c(half, n_atoms * d)
+    # both are valid size parameters: N d <= a_ring <= 1e4, as sin(pi/N) <= pi/N
+    exact, exact_ring = (n_atoms * float(c[half]) for c, _ in
+                         _closed_form_tables([(n_atoms * d, half), (a_ring, half)]))
     try:
         asymptotic = (math.e * d) ** n_atoms / math.sqrt(2.0 * math.pi * n_atoms)
     except OverflowError:  # (e d/lambda)^N past the float range
         asymptotic = math.inf
-    exact_ring = n_atoms * coeff_c(half, a_ring)
     return SubradiantEdge(exact=exact, asymptotic=asymptotic, exact_ring=exact_ring)
 
 

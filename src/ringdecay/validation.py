@@ -8,7 +8,8 @@ counts as worse than any number, so it fails the check.
 
 The checks share work in batches with the bits of the public calls: the
 spectrum grid is folded and transformed one N at a time (``_check_grid``),
-and each set of closed-form tables, those of the sum rules, of the
+the Dicke check folds its three models' rows in one ``_analytic_rates``
+call, and each set of closed-form tables, those of the sum rules, of the
 method cross-check and of each edge-mode slope, is one
 ``specfun._closed_form_tables`` pass.  The method cross-check sums the
 series of every admitted coefficient in one ``specfun._series_batch``
@@ -165,7 +166,7 @@ def _check_coefficient_sums() -> list[CheckResult]:
 
 def _check_dicke() -> list[CheckResult]:
     models = (ModelKind.scalar(), ModelKind.vectorial(0.0), ModelKind.vectorial(math.pi / 3))
-    rates = np.array([analytic_spectrum(RingConfig(10, 1e-8), m).rates for m in models])
+    rates = _analytic_rates((10,), (1e-8,), models)[0][0]
 
     def label(i: int) -> str:  # i indexes the models
         return f"({models[i].label()})"

@@ -54,6 +54,16 @@ def reference_mix(c, d, k, model):
     return 0.75 * ((1.0 + cos2) * c[k] + (1.0 - 3.0 * cos2) * d[k])
 
 
+@pytest.fixture
+def lane_passes(monkeypatch):
+    """The lanes of each ``specfun._closed_form_lanes`` pass, one list per pass."""
+    passes = []
+    lanes = specfun._closed_form_lanes
+    monkeypatch.setattr(specfun, "_closed_form_lanes",
+                        lambda block, width: passes.append(list(block)) or lanes(block, width))
+    return passes
+
+
 class TestTwoAtomClosedForm:
     @pytest.mark.parametrize("a", [0.25, 1.0, 3.7, 18.0])
     @pytest.mark.parametrize("path", [analytic_spectrum, oracle_spectrum])
@@ -257,10 +267,14 @@ class TestBatchedRates:
                 assert np.array_equal(oracle[i, j], oracle_spectrum(config, model).rates), \
                     (a, model)
 
+    def test_every_table_is_one_lane_pass(self, lane_passes):
+        spectrum._analytic_rates(BATCH_N, BATCH_A, BATCH_MODELS)
+        assert lane_passes == [[(a, alias_cutoff(a)) for a in BATCH_A]]
+
     @pytest.mark.parametrize("model", [ALL_MODELS[0], ALL_MODELS[1]], ids=lambda m: m.label())
     def test_one_row_paths_hold_no_extra_n_sized_array(self, model):
-        # Peaks in units of one N-sized float64 array at N = 2**20, a = 50, with
-        # the table already cached: the fold's bincount is scaled in place (1.0);
+        # Peaks in units of one N-sized float64 array at N = 2**20, a = 50, whose
+        # table is 109 rows: the fold's bincount is scaled in place (1.0);
         # the kernel takes its chords, sin(x)/x and, for the dipoles, j1(x)/x at
         # N/2 each, and the mirrored row adds N (2.5 scalar, 3.06 dipole); the
         # oracle holds no mirrored row, only the half kernel, hfft's conjugated
@@ -442,7 +456,6 @@ class TestValidatedOnce:
 
         for module in (specfun, ring_model, spectrum):
             monkeypatch.setattr(module, "_check_size_parameter", counted)
-        spectrum._cached_table.cache_clear()
         return calls
 
     def test_analytic_spectrum_checks_no_a_of_its_own(self, checks):
@@ -450,11 +463,11 @@ class TestValidatedOnce:
         assert checks == [7.3]
         for model in ALL_MODELS:
             analytic_spectrum(config, model)
-        # the one table build goes through the public coeff_table, which checks
-        # its own argument; a cached table is read with no check at all
-        assert checks == [7.3, 7.3]
-        checks.clear()
-        analytic_spectrum(config, ModelKind.scalar())
+            assert checks == [7.3]
+
+    def test_subradiant_edge_checks_no_a_of_its_own(self, checks):
+        # lattice_conversion has checked N and d/lambda, and both a lie in range
+        subradiant_edge(12, 0.25)
         assert checks == []
 
     def test_coeff_table_checks_a_once(self, checks):
@@ -476,9 +489,16 @@ class TestSubradiantEdge:
         )
         assert edge.exact_ring == pytest.approx(0.0083917803331881, abs=1e-12)
 
-    def test_exact_is_coefficient_rate(self):
-        edge = subradiant_edge(12, 0.25)
-        assert edge.exact == pytest.approx(12.0 * coeff_c(6, 3.0), abs=1e-15)
+    @pytest.mark.parametrize("n, d", [(10, 0.3), (12, 0.25), (2, 0.45), (100, 0.1)])
+    def test_exact_is_coefficient_rate(self, n, d):
+        edge = subradiant_edge(n, d)
+        assert edge.exact == n * coeff_c(n // 2, n * d)
+        assert edge.exact_ring == n * coeff_c(n // 2, lattice_conversion(n, d))
+
+    def test_both_tables_are_one_lane_pass(self, lane_passes):
+        n, d = 12, 0.25
+        subradiant_edge(n, d)
+        assert lane_passes == [[(n * d, n // 2), (lattice_conversion(n, d), n // 2)]]
 
     @pytest.mark.parametrize("n, d", [(16, 0.3), (24, 0.3), (100, 0.1)])
     def test_fields_are_half_the_spectrum_edge_rate(self, n, d):
@@ -602,7 +622,7 @@ def test_signed_indices_memory_is_one_int_array():
 
 
 def test_concurrent_evaluation_matches_serial():
-    # pure functions + cached tables must be safe under threads
+    # functions that hold no module state must be safe under threads
     from concurrent.futures import ThreadPoolExecutor
 
     jobs = [(n, a, m) for n in (4, 10, 25) for a in (0.7, 12.0) for m in ALL_MODELS]

@@ -6,8 +6,8 @@ import numpy as np
 
 import pytest
 
-from ringdecay import (ModelKind, RingConfig, analytic_spectrum, coeff_c, coeff_d, coeff_table,
-                       continuous_limit_rate, lattice_conversion, oracle_spectrum,
+from ringdecay import (ModelKind, RingConfig, alias_cutoff, analytic_spectrum, coeff_c, coeff_d,
+                       coeff_table, continuous_limit_rate, lattice_conversion, oracle_spectrum,
                        series_admitted, specfun, subradiant_edge, validation)
 from ringdecay.validation import (CheckResult, _check, _check_coefficient_sums, _check_grid,
                                   _check_methods, _slope_check, format_report, run_checks)
@@ -243,10 +243,12 @@ def test_each_table_set_is_one_lane_pass(monkeypatch):
     _check_coefficient_sums()
     _slope_check(0.3, "s")
     _check_methods()
+    validation._check_dicke()
     assert passes == [
         [(a, math.ceil(a) + 40) for a in (0.0, 1.0, 5.0, 20.0, 50.0)],
         [(n * 0.3, n // 2) for n in range(16, 25, 2)],
         [(a, 64) for a in (0.0, 0.1, 1.0, 5.0)],
+        [(1e-8, alias_cutoff(1e-8))],
     ]
 
 

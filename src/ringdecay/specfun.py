@@ -34,7 +34,10 @@ Every coefficient is computable by two independent routes:
   outside that range it refuses instead of returning noise.  A single
   coefficient is one scalar loop (``_coeff_series``); many at once, a
   series table or ``validate``'s whole method cross-check, are one numpy
-  pass (``_series_batch``) with the scalar loop's bits.
+  pass (``_series_batch``) with the scalar loop's bits: the first terms
+  from the scalar's ``math`` functions mapped over whole lists, the rest
+  in chunks of steps whose ratios are one bounded table, with the stopped
+  coefficients compacted out once per chunk.
 
 The closed forms run in lanes, one (a, depth) pair each: every lane runs
 its own recurrence, and one numpy pass forms c_n and d_n of a whole
@@ -170,12 +173,10 @@ def series_admitted(n: int, a: float) -> bool:
 # Terms that one coefficient's series may take before it is refused as unconverged.
 _SERIES_MAX_TERMS = 5000
 
-
-def _series_first_term(n: int, a: float, w: int) -> float:
-    """Term 0 of the series, a^(2n) / ((2n)! (2n + w)), in log space for n > 0."""
-    if n == 0:
-        return 1.0 / w
-    return math.exp(2 * n * math.log(a) - math.lgamma(2 * n + 1) - math.log(2 * n + w))
+# Steps of one ``_series_batch`` chunk, and the most term ratios (512 KiB of
+# float64) one chunk's table holds; a chunk of many coefficients takes fewer steps.
+_SERIES_CHUNK_STEPS = 16
+_SERIES_TABLE_ELEMENTS = 2**16
 
 
 def _coeff_series(n: int, a: float, moment: int) -> float:
@@ -192,7 +193,11 @@ def _coeff_series(n: int, a: float, moment: int) -> float:
     (``coeff_c``/``coeff_d``) stay scalar.
     """
     w = moment + 1
-    term = _series_first_term(n, a, w)
+    # term 0, a^(2n) / ((2n)! (2n + w))
+    if n == 0:
+        term = 1.0 / w
+    else:
+        term = math.exp(2 * n * math.log(a) - math.lgamma(2 * n + 1) - math.log(2 * n + w))
     total = term
     comp = 0.0
     a2 = a * a
@@ -210,46 +215,71 @@ def _coeff_series(n: int, a: float, moment: int) -> float:
             raise RuntimeError("coefficient series failed to converge")
 
 
+def _distinct_map(f, x: np.ndarray) -> np.ndarray:
+    """f(x[i]) for every i, one call of the ``math`` function f per distinct value."""
+    values, at = np.unique(x, return_inverse=True)
+    return np.array(list(map(f, values.tolist())), dtype=float)[at]
+
+
 def _series_batch(ns, a_values, moments) -> np.ndarray:
     """``_coeff_series(ns[i], a_values[i], moments[i])`` for every i, in one numpy pass.
 
-    Each step runs the scalar recurrence elementwise in its operation
-    order, the ratio's integers held exactly as floats, so every
-    coefficient has the scalar's bits.  A coefficient leaves the active
-    arrays at the term where the scalar loop returns, so none runs past
-    its stop.  The first terms are the scalar's, from ``math``.  Below
-    _A_TINY a coefficient is its a = 0 value, as in the closed form.  Each
-    (n, a) must be admitted.  Underflow is ignored, as Python float
-    arithmetic ignores it.
+    The first terms are the scalar's: ``math.log`` and ``math.lgamma``
+    mapped over the distinct values of whole lists, combined in numpy in
+    the scalar's order, ``math.exp`` mapped over the list of exponents,
+    and 1/w at n = 0.  The terms then run in chunks of at
+    most _SERIES_CHUNK_STEPS steps, fewer once a chunk's table of ratios
+    would pass _SERIES_TABLE_ELEMENTS, and never past the step where
+    _SERIES_MAX_TERMS raises.  One table holds every live coefficient's
+    ratio per step of the chunk, each formed in the scalar's operation
+    order from integers held exactly as floats; each step is then the
+    scalar's product and compensated sum, elementwise, so every
+    coefficient has the scalar's bits.  After a chunk each coefficient is
+    read at its first stop in the chunk, the step where the scalar loop
+    returns; the steps computed past it are discarded, and the stopped
+    coefficients leave the live arrays together.  Below _A_TINY a
+    coefficient is its a = 0 value, as in the closed form.  Each (n, a)
+    must be admitted.  Underflow is ignored, as Python float arithmetic
+    ignores it.
     """
-    ns, a_values, moments = (np.asarray(x).tolist() for x in (ns, a_values, moments))
-    out = np.array([0.0 if n else 1.0 / (moment + 1) for n, moment in zip(ns, moments)])
-    slot = np.flatnonzero(np.array(a_values) >= _A_TINY)  # each summed coefficient's place in out
-    ns, a_values, moments = ([x[i] for i in slot.tolist()] for x in (ns, a_values, moments))
-    total = np.array(list(map(_series_first_term, ns, a_values, [m + 1 for m in moments])),
-                     dtype=float)
-    # -a^2, 2n and 2n + w - 2 per summed coefficient, all exact
-    neg_a2 = -np.square(np.array(a_values, dtype=float))
-    twice_n = 2.0 * np.array(ns, dtype=float)
-    base = twice_n + np.array(moments, dtype=float) - 1.0
-    term, comp = total.copy(), np.zeros_like(total)
+    twice_n = 2.0 * np.asarray(ns, dtype=float)
+    w = np.asarray(moments, dtype=float) + 1.0
+    out = np.where(twice_n == 0.0, 1.0 / w, 0.0)  # the a = 0 values
+    a = np.asarray(a_values, dtype=float)
+    slot = np.flatnonzero(a >= _A_TINY)  # each summed coefficient's place in out
+    twice_n, w, a = twice_n[slot], w[slot], a[slot]
+    # term 0, exp((2n) log a - lgamma(2n + 1) - log(2n + w)) as the scalar forms it
+    exponent = (twice_n * _distinct_map(math.log, a) - _distinct_map(math.lgamma, twice_n + 1.0)
+                - _distinct_map(math.log, twice_n + w))
+    total = np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)
+    total = np.where(twice_n == 0.0, out[slot], total)
+    neg_a2, base = -(a * a), twice_n + w - 2.0  # -a^2 and 2n + w - 2
+    del a, w, exponent  # only the steps' arrays stay live
+    term, comp = total, np.zeros_like(total)  # neither is ever written in place
     m = 0
     with np.errstate(under="ignore"):
         while slot.size:
-            m += 1
+            steps = min(_SERIES_CHUNK_STEPS, max(1, _SERIES_TABLE_ELEMENTS // slot.size),
+                        _SERIES_MAX_TERMS + 1 - m)
+            ms = np.arange(m + 1.0, m + steps + 1.0)[:, None]  # the chunk's m, one row each
             # num = 2n + 2m + w - 2 and den = m (2n + m) (2n + 2m + w), exact integers
-            term *= (neg_a2 * (base + 2 * m)) / (m * (twice_n + m) * (base + (2 * m + 2)))
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            if m > 4:
-                done = np.abs(term) <= 1e-20 * (np.abs(total) + 1e-300)
-                if done.any():
-                    out[slot[done]] = total[done]
-                    keep = ~done
-                    slot, neg_a2, twice_n, base = (x[keep] for x in (slot, neg_a2, twice_n, base))
-                    term, comp, total = term[keep], comp[keep], total[keep]
+            terms = (neg_a2 * (base + 2.0 * ms)) / (ms * (twice_n + ms) * (base + (2.0 * ms + 2.0)))
+            totals = np.empty_like(terms)
+            for ratio, row in zip(terms, totals):  # ratio becomes the term of its step
+                term = np.multiply(term, ratio, out=ratio)
+                y = term - comp
+                np.add(total, y, out=row)
+                comp = (row - total) - y
+                total = row
+            stop = np.abs(terms) <= 1e-20 * (np.abs(totals) + 1e-300)
+            stop[:max(0, 4 - m)] = False  # no stop before m = 5
+            m += steps
+            done = stop.any(axis=0)
+            if done.any():
+                out[slot[done]] = totals[np.argmax(stop[:, done], axis=0), np.flatnonzero(done)]
+                keep = ~done
+                slot, twice_n, base, neg_a2 = (x[keep] for x in (slot, twice_n, base, neg_a2))
+                term, comp, total = term[keep], comp[keep], total[keep]
             if slot.size and m > _SERIES_MAX_TERMS:
                 raise RuntimeError("coefficient series failed to converge")
     return out

@@ -16,7 +16,10 @@ series of every admitted coefficient in one ``specfun._series_batch``
 pass, and the two plateau checks mix both models' rates from one read
 of their one table.  Every check is one ``_check`` call on the array of
 its measure in grid order: one ``np.argmax`` picks the worst point, and
-only that point's label is formatted.
+only that point's label is formatted.  Each edge-mode slope is a
+closed-form least-squares fit over five points: it runs no LAPACK, so
+its bits do not depend on the BLAS build, and at both checked spacings
+it is the correctly rounded exact slope.
 
 One check is expected to fail by construction: the subradiant-slope
 check compares the measured suppression rate of the edge mode at
@@ -257,10 +260,17 @@ def _slope_check(d_over_lambda: float, name: str) -> CheckResult:
 
     The ln-rates are those of ``subradiant_edge(N, d/lambda).exact``, from
     ``_edge_ln_rates``'s one table pass; the ``exact_ring`` tables that
-    ``subradiant_edge`` also builds are not read, so none is built.
+    ``subradiant_edge`` also builds are not read, so none is built.  The
+    slope is the closed-form least-squares fit sum (N - mean) y / sum
+    (N - mean)^2, and runs no LAPACK: the products are exact, one
+    ``math.fsum`` rounds their sum, and the division by sum (N - mean)^2
+    = 40 rounds once more.  At both spacings that ``validate`` checks this is the correctly
+    rounded exact slope.
     """
     ns = range(16, 25, 2)
-    slope = float(np.polyfit(ns, _edge_ln_rates(d_over_lambda, ns), 1)[0])
+    dx = [n - 20 for n in ns]  # N minus the mean N: 0, ±2 and ±4, so each product is exact
+    slope = (math.fsum(x * y for x, y in zip(dx, _edge_ln_rates(d_over_lambda, ns)))
+             / math.fsum(x * x for x in dx))
     target = 1.0 + math.log(d_over_lambda)
     return _check(name, f"edge-mode ln-rate slope within 5% of ln(e d/lambda) = {target:.4f}",
                   0.05, abs(slope / target - 1.0),

@@ -386,6 +386,41 @@ def series_grid(seed, count):
     return grid
 
 
+def scalar_stop(n, a, moment):
+    """The step m where ``_coeff_series(n, a, moment)`` returns: one past the lowest term
+    limit at which it converges, since it raises at m = _SERIES_MAX_TERMS + 1.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        for limit in range(4, 200):
+            mp.setattr(specfun, "_SERIES_MAX_TERMS", limit)
+            try:
+                specfun._coeff_series(n, a, moment)
+            except RuntimeError:
+                continue
+            return limit + 1
+
+
+def seam_points():
+    """Admitted (n, a, moment) whose scalar series stop at the batch's chunk seams.
+
+    They stop at m = 5, the first step that may stop; at 16 and 17, the
+    last step of the first chunk and the first of the second; and at 32 and
+    33, n = 0 at the largest admitted a, the seam of the second and third.
+    """
+    top = math.nextafter(math.sqrt(40), 0.0)
+    points = [(0, 0.01, 0), (2, 2.0, 0), (1, 2.0, 0), (0, top, 0), (0, top, 2)]
+    assert specfun._SERIES_CHUNK_STEPS == 16, "the seams below are those of 16-step chunks"
+    assert [scalar_stop(*p) for p in points] == [5, 16, 17, 32, 33]
+    return points
+
+
+def assert_scalar_bits(batch, points):
+    """``batch`` holds ``_coeff_series`` of each point, bit for bit."""
+    scalar = {p: specfun._coeff_series(*p) for p in set(points)}
+    expect = np.array([scalar[p] for p in points])
+    assert np.array_equal(batch.view(np.int64), expect.view(np.int64))
+
+
 class TestSeriesBatch:
     def test_equals_scalar_series_bit_for_bit(self):
         grid = series_grid(11, 4000)
@@ -410,6 +445,39 @@ class TestSeriesBatch:
         grid = series_grid(12, 500)
         with np.errstate(all="raise"):
             specfun._series_batch(*zip(*grid))
+
+    def test_stops_at_chunk_seams_bit_for_bit(self):
+        # each coefficient is read at its own stop, whichever step of a chunk that is
+        points = seam_points()
+        with np.errstate(all="raise"):
+            batch = specfun._series_batch(*zip(*points))
+        assert_scalar_bits(batch, points)
+
+    def test_batch_past_the_table_bound_bit_for_bit(self):
+        # the first chunks take one step each, and widen as coefficients stop
+        points = seam_points() + series_grid(13, 300)
+        many = points * (specfun._SERIES_TABLE_ELEMENTS // len(points) + 1)
+        assert len(many) > specfun._SERIES_TABLE_ELEMENTS
+        with np.errstate(all="raise"):
+            batch = specfun._series_batch(*zip(*many))
+        assert_scalar_bits(batch, many)
+
+    def test_large_series_table_holds_a_few_batch_sized_arrays(self):
+        # Peak in units of one float64 array of the batch's 2 (n_max + 1)
+        # coefficients: the three inputs, the output, the live arrays and the
+        # first terms' lists come to about 16.  A chunk of 16 steps over every
+        # live coefficient would hold 32 in its two tables alone.
+        import tracemalloc
+
+        n_max = 10**5
+        coeff_table(2.0, n_max, "series")
+        tracemalloc.start()
+        try:
+            coeff_table(2.0, n_max, "series")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 8 * 2 * (n_max + 1)
 
     def test_series_table_is_one_batch(self, monkeypatch):
         calls = []

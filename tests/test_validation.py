@@ -1,6 +1,7 @@
 """Validation grid: the check list, the worst-case reducer, the per-check references."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -216,11 +217,27 @@ def test_slope_ln_rates_equal_subradiant_edge_bit_for_bit(d_over_lambda):
     ns = range(16, 25, 2)
     lnr = [math.log(subradiant_edge(n, d_over_lambda).exact) for n in ns]
     assert validation._edge_ln_rates(d_over_lambda, ns) == lnr
-    slope = float(np.polyfit(np.arange(16, 25, 2), np.array(lnr), 1)[0])
+    # the exact least-squares slope, rounded once
+    x, y = [Fraction(n) for n in ns], [Fraction(v) for v in lnr]
+    x_bar, y_bar = sum(x) / len(x), sum(y) / len(y)
+    slope = float(sum((p - x_bar) * (q - y_bar) for p, q in zip(x, y))
+                  / sum((p - x_bar) ** 2 for p in x))
     target = 1.0 + math.log(d_over_lambda)
     assert _slope_check(d_over_lambda, "s") == CheckResult(
         "s", f"edge-mode ln-rate slope within 5% of ln(e d/lambda) = {target:.4f}",
         abs(slope / target - 1.0), 0.05, f"(d/lambda={d_over_lambda}, measured slope {slope:.4f})")
+
+
+def test_run_checks_runs_no_least_squares_solver(monkeypatch):
+    # the edge-mode slopes are closed-form fits, so no LAPACK routine runs
+    expected = run_checks()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a least-squares solver was called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert run_checks() == expected
 
 
 def test_coefficient_sums_equal_one_table_per_a():

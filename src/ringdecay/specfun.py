@@ -32,12 +32,12 @@ Every coefficient is computable by two independent routes:
   space with compensated accumulation.  The series is only admitted
   while its largest term cannot swamp double precision (a^2 < |n| + 40);
   outside that range it refuses instead of returning noise.  A single
-  coefficient is one scalar loop (``_coeff_series``); many at once, a
-  series table or ``validate``'s whole method cross-check, are one numpy
-  pass (``_series_batch``) with the scalar loop's bits: the first terms
-  from the scalar's ``math`` functions mapped over whole lists, the rest
-  in chunks of steps whose ratios are one bounded table, with the stopped
-  coefficients compacted out once per chunk.
+  coefficient is one scalar loop (``_coeff_series``); many at once are one
+  numpy pass (``_series_batch``) with the scalar loop's bits: the first
+  terms from the scalar's ``math`` functions mapped over whole lists, the
+  rest in chunks of steps whose ratios are one bounded table, with the
+  stopped coefficients compacted out once per chunk.  ``_series_tables``
+  lays out the tables of many a as one pass; ``coeff_table`` is its one-a case.
 
 The closed forms run in lanes, one (a, depth) pair each: every lane runs
 its own recurrence, and one numpy pass forms c_n and d_n of a whole
@@ -285,6 +285,14 @@ def _series_batch(ns, a_values, moments) -> np.ndarray:
     return out
 
 
+def _series_tables(a_values, n_max: int) -> np.ndarray:
+    """Series c_n and d_n, n = 0..n_max, of each admitted a in one pass: an (a, c | d, n) array."""
+    orders = np.arange(n_max + 1)  # per a, c's orders and then d's
+    return _series_batch(np.tile(orders, 2 * len(a_values)), np.repeat(a_values, 2 * orders.size),
+                         np.tile(np.repeat([0, 2], orders.size), len(a_values))
+                         ).reshape(len(a_values), 2, -1)
+
+
 # Largest padded lane array, in elements (512 KiB of float64), that one block
 # of ``_closed_form_reads`` holds; a lane wider than that is a block alone.
 _LANE_BLOCK_ELEMENTS = 2**16
@@ -483,9 +491,7 @@ def coeff_table(a: float, n_max: int, method: str = "quadrature") -> Coefficient
     if method == "series":
         if not series_admitted(0, a):  # admission widens with |n|: row 0 decides the table
             raise ValueError("series unstable, use quadrature")
-        orders = np.arange(n_max + 1)
-        c, d = _series_batch(np.tile(orders, 2), np.full(2 * orders.size, a),
-                             np.repeat([0, 2], orders.size)).reshape(2, -1)
+        c, d = _series_tables([a], n_max)[0]
     else:
         c, d = _closed_form_tables([(a, n_max)])[0]
     return CoefficientTable(a=a, n_max=n_max, c=c, d=d)

@@ -31,13 +31,14 @@ The coefficients are the closed forms evaluated by one Bessel
 recurrence at Z = 2a; the power series in ``specfun`` is their
 independent second route.  Every spectrum at a reads the table of depth
 ``alias_cutoff(a)``; a grid's tables are built together, in one
-``specfun._closed_form_tables`` pass, and none is kept between calls.  A
-single-winding rate at (a, k) reads row |k| of the table of depth
-max(|k|, min(N//2, alias_cutoff(a))); ``specfun`` builds those tables.
+``specfun._closed_form_tables`` pass, and none is kept between calls.
 
 Asymptotic companions: the single-winding (continuum-limit) rate
 N c_k(a), the even-N subradiant edge rate with its exponential estimate,
-and the closed-form large-a aligned-dipole estimate.
+and the closed-form large-a aligned-dipole estimate.  The first two are
+batched like the routes, and ``validation`` calls the batches:
+``_single_winding_rates`` mixes every model from one table read, and
+``_edge_terms`` forms every edge term N c_{N/2} from one table pass.
 """
 
 from __future__ import annotations
@@ -180,34 +181,34 @@ def continuous_limit_rate(n_atoms: int, a, k, model: ModelKind | None = None):
     ``a`` is a size parameter or a 1-D sequence of them, ``k`` a mode index
     or a sequence of them; every one is validated once.  Scalar a and k
     give a float; otherwise the rates form an array of shape
-    (len(a), len(k)), with the axis of a scalar argument left out.
-
-    The rate at (a, k) reads row |k| of the table of depth
-    max(|k|, min(N//2, alias_cutoff(a))), which every mode
-    |k| <= alias_cutoff(a) of the ring at this a shares.
+    (len(a), len(k)), with the axis of a scalar argument left out.  This is
+    the one-model case of ``_single_winding_rates``.
     """
     n_atoms = _check_n_atoms(n_atoms)
     a_values, a_axis = _checked_items(a, _check_size_parameter)
     ks, k_axis = _checked_items(k, lambda x: _check_mode_index(x, n_atoms))
     if model is None:
         model = ModelKind.scalar()
-    c, d = _single_winding_terms(n_atoms, a_values, ks)
-    rates = n_atoms * _harmonic_rates(c, d, model)
+    rates = _single_winding_rates(n_atoms, a_values, ks, (model,))[:, 0]
     shape = [len(values) for values, axis in ((a_values, a_axis), (ks, k_axis)) if axis]
     return rates.reshape(shape) if shape else float(rates[0, 0])
 
 
-def _single_winding_terms(n_atoms: int, a_values: list, ks: list):
-    """c_|k|(a) and d_|k|(a) of ``continuous_limit_rate``, each of shape (len(a), len(k)).
+def _single_winding_rates(n_atoms: int, a_values, ks, models) -> np.ndarray:
+    """N times each model's mix of c_|k|(a) and d_|k|(a): an (a, model, k) array.
 
-    The arguments must already be validated, each k as |k|.  Every model's
-    rates mix these same (c, d), so one read serves them all.
+    The rate at (a, k) reads row |k| of the table of depth
+    max(|k|, min(N//2, alias_cutoff(a))), which every mode
+    |k| <= alias_cutoff(a) of the ring at this a shares.  One
+    ``_closed_form_reads`` call reads every (a, k), and each model mixes
+    that same (c, d).  The arguments must already be validated, each k as |k|.
     """
     orders = np.array(sorted(set(ks)), dtype=int)
     shared = np.array([min(n_atoms // 2, _alias_cutoff(x)) for x in a_values], dtype=int)
     c, d = _closed_form_reads(a_values, np.maximum(orders, shared[:, None]), orders)
     at = np.searchsorted(orders, ks)
-    return c[:, at], d[:, at]
+    c, d = c[:, at], d[:, at]
+    return np.stack([n_atoms * _harmonic_rates(c, d, model) for model in models], axis=1)
 
 
 def _checked_items(values, check) -> tuple[list, bool]:
@@ -251,13 +252,18 @@ def subradiant_edge(n_atoms: int, d_over_lambda: float) -> SubradiantEdge:
         raise ValueError(f"n_atoms = {n_atoms} puts the edge mode N/2 = {half} above the "
                          f"coefficient order limit {_MAX_COEFF_ORDER}")
     # both are valid size parameters: N d <= a_ring <= 1e4, as sin(pi/N) <= pi/N
-    exact, exact_ring = (n_atoms * float(c[half]) for c, _ in
-                         _closed_form_tables([(n_atoms * d, half), (a_ring, half)]))
+    exact, exact_ring = _edge_terms((n_atoms, n_atoms), (n_atoms * d, a_ring))
     try:
         asymptotic = (math.e * d) ** n_atoms / math.sqrt(2.0 * math.pi * n_atoms)
     except OverflowError:  # (e d/lambda)^N past the float range
         asymptotic = math.inf
     return SubradiantEdge(exact=exact, asymptotic=asymptotic, exact_ring=exact_ring)
+
+
+def _edge_terms(ns, a_values) -> list:
+    """Edge term N c_{N/2}(a) per even N of ``ns`` and valid a of ``a_values``, one table pass."""
+    tables = _closed_form_tables([(a, n // 2) for n, a in zip(ns, a_values)])
+    return [n * float(c[n // 2]) for n, (c, _) in zip(ns, tables)]
 
 
 def large_a_vector_estimate(n_atoms: int, a: float, k: int, delta: float) -> float:

@@ -6,20 +6,20 @@ renders the results as a text report and exits nonzero if any check
 fails.  A check reports its worst value and where it was measured; a NaN
 counts as worse than any number, so it fails the check.
 
-The checks share work in batches with the bits of the public calls: the
+The checks share work in batches with the bits of the public calls, and
+each batch is a private entry of the module that owns its formula: the
 spectrum grid is folded and transformed one N at a time (``_check_grid``),
 the Dicke check folds its three models' rows in one ``_analytic_rates``
-call, and each set of closed-form tables, those of the sum rules, of the
-method cross-check and of each edge-mode slope, is one
-``specfun._closed_form_tables`` pass.  The method cross-check sums the
-series of every admitted coefficient in one ``specfun._series_batch``
-pass, and the two plateau checks mix both models' rates from one read
-of their one table.  Every check is one ``_check`` call on the array of
-its measure in grid order: one ``np.argmax`` picks the worst point, and
-only that point's label is formatted.  Each edge-mode slope is a
-closed-form least-squares fit over five points: it runs no LAPACK, so
-its bits do not depend on the BLAS build, and at both checked spacings
-it is the correctly rounded exact slope.
+call, the plateau checks take both models' rates from one
+``spectrum._single_winding_rates`` call, each edge-mode slope its terms
+from one ``spectrum._edge_terms`` call, and the method cross-check its
+series from one ``specfun._series_tables`` pass.  Every check is one
+``_check`` call on the array of its measure in grid order: one
+``np.argmax`` picks the worst point, and only that point's label is
+formatted.  Each edge-mode slope is a closed-form least-squares fit over
+five points: it runs no LAPACK, so its bits do not depend on the BLAS
+build, and at both checked spacings it is the correctly rounded exact
+slope.
 
 One check is expected to fail by construction: the subradiant-slope
 check compares the measured suppression rate of the edge mode at
@@ -40,11 +40,11 @@ import numpy as np
 from .ring_model import ModelKind, RingConfig, lattice_conversion
 # Nothing here calls coeff_c, coeff_d or coeff_table: benchmarks/spans.py looks
 # them up on this module to trace them.
-from .specfun import (CoefficientTable, _closed_form_tables, _series_batch, coeff_c,  # noqa: F401
+from .specfun import (CoefficientTable, _closed_form_tables, _series_tables, coeff_c,  # noqa: F401
                       coeff_d, coeff_table, series_admitted)
 # Nor oracle_spectrum or subradiant_edge, which benchmarks/spans.py traces here too.
-from .spectrum import (_analytic_rates, _harmonic_rates, _oracle_rates,  # noqa: F401
-                       _single_winding_terms, analytic_spectrum, continuous_limit_rate,
+from .spectrum import (_analytic_rates, _edge_terms, _oracle_rates,  # noqa: F401
+                       _single_winding_rates, analytic_spectrum, continuous_limit_rate,
                        oracle_spectrum, subradiant_edge)
 
 __all__ = ["CheckResult", "run_checks", "format_report", "all_passed"]
@@ -183,18 +183,16 @@ def _check_dicke() -> list[CheckResult]:
 
 
 def _check_plateaus() -> list[CheckResult]:
-    """Single-winding rates of both models, mixed from one (c, d) read of their one table.
+    """Single-winding rates of both models, from one ``_single_winding_rates`` call.
 
     The rates are those of ``continuous_limit_rate(n, a, ks)`` per model.
     """
     n = 10
     lam_over_d = 0.05
     a = lattice_conversion(n, 1.0 / lam_over_d)
-    ks = (0, 1, 2, 4)
     scalar, vector = lam_over_d / 2.0, 0.75 * lam_over_d
-    c, d = _single_winding_terms(n, [a], ks)
-    rates_s, rates_v = ((n * _harmonic_rates(c, d, model))[0]
-                        for model in (ModelKind.scalar(), ModelKind.vectorial(0.0)))
+    rates_s, rates_v = _single_winding_rates(n, [a], (0, 1, 2, 4),
+                                             (ModelKind.scalar(), ModelKind.vectorial(0.0)))[0]
     return [
         _check("scalar-plateau", "single-winding rates within 15% of (lambda/d)/2", 0.15,
                np.abs(rates_s - scalar) / scalar, lambda i: f"(N={n}, lambda/d={lam_over_d})"),
@@ -227,16 +225,13 @@ def _check_methods() -> CheckResult:
     with the quadrature table elementwise: the same series and closed-form
     values as one ``coeff_c``/``coeff_d`` call per (n, a).  The quadrature
     tables of every admitted a come from one ``_closed_form_tables`` pass,
-    and the series of every (a, moment, n) from one ``_series_batch``
-    pass.  One ``np.argmax`` over the (a, n) grid picks the worst pair.
+    and the series tables from one ``_series_tables`` pass.  One
+    ``np.argmax`` over the (a, n) grid picks the worst pair.
     """
     # admission widens with |n|: row 0 decides
     admitted = [a for a in (0.0, 0.1, 1.0, 5.0, 20.0, 50.0) if series_admitted(0, a)]
     quadrature = np.array(_closed_form_tables([(a, 64) for a in admitted]))  # (a, c | d, n)
-    # orders 0..64 of c, then of d, per a
-    series = _series_batch(np.tile(np.arange(65), 2 * len(admitted)), np.repeat(admitted, 2 * 65),
-                           np.tile(np.repeat([0, 2], 65), len(admitted)))
-    worst = np.max(np.abs(series.reshape(quadrature.shape) - quadrature), axis=1)
+    worst = np.max(np.abs(_series_tables(admitted, 64) - quadrature), axis=1)
 
     def label(i: int) -> str:  # i indexes the (a, n) grid
         a, n = divmod(i, 65)
@@ -246,31 +241,21 @@ def _check_methods() -> CheckResult:
                   worst, label)
 
 
-def _edge_ln_rates(d_over_lambda: float, ns) -> list:
-    """ln(N c_{N/2}(N d/lambda)) per N in ``ns``: the log of ``subradiant_edge(N, d).exact``.
-
-    The tables of every N come from one ``_closed_form_tables`` pass.
-    """
-    pairs = [(n * d_over_lambda, n // 2) for n in ns]
-    return [math.log(n * float(c[n // 2])) for n, (c, _) in zip(ns, _closed_form_tables(pairs))]
-
-
 def _slope_check(d_over_lambda: float, name: str) -> CheckResult:
     """The fitted slope of the edge mode's ln-rate over N = 16..24, against ln(e d/lambda).
 
-    The ln-rates are those of ``subradiant_edge(N, d/lambda).exact``, from
-    ``_edge_ln_rates``'s one table pass; the ``exact_ring`` tables that
-    ``subradiant_edge`` also builds are not read, so none is built.  The
-    slope is the closed-form least-squares fit sum (N - mean) y / sum
+    The ln-rates are the logs of ``subradiant_edge(N, d/lambda).exact``,
+    from one ``_edge_terms`` call, which builds no ``exact_ring`` table.
+    The slope is the closed-form least-squares fit sum (N - mean) y / sum
     (N - mean)^2, and runs no LAPACK: the products are exact, one
     ``math.fsum`` rounds their sum, and the division by sum (N - mean)^2
-    = 40 rounds once more.  At both spacings that ``validate`` checks this is the correctly
-    rounded exact slope.
+    = 40 rounds once more.  At both spacings that ``validate`` checks this
+    is the correctly rounded exact slope.
     """
     ns = range(16, 25, 2)
     dx = [n - 20 for n in ns]  # N minus the mean N: 0, ±2 and ±4, so each product is exact
-    slope = (math.fsum(x * y for x, y in zip(dx, _edge_ln_rates(d_over_lambda, ns)))
-             / math.fsum(x * x for x in dx))
+    ln_rates = map(math.log, _edge_terms(ns, [n * d_over_lambda for n in ns]))
+    slope = math.fsum(x * y for x, y in zip(dx, ln_rates)) / math.fsum(x * x for x in dx)
     target = 1.0 + math.log(d_over_lambda)
     return _check(name, f"edge-mode ln-rate slope within 5% of ln(e d/lambda) = {target:.4f}",
                   0.05, abs(slope / target - 1.0),

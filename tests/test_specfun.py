@@ -489,6 +489,21 @@ class TestSeriesBatch:
         assert table.c.tolist() == [coeff_c(n, 2.0, "series") for n in range(26)]
         assert table.d.tolist() == [coeff_d(n, 2.0, "series") for n in range(26)]
 
+    @pytest.mark.parametrize("a", [0.0, 1e-60, 0.1, 2.0, 6.3])
+    @pytest.mark.parametrize("n_max", [0, 7, 64])
+    def test_series_table_is_its_row_of_series_tables(self, a, n_max):
+        table = coeff_table(a, n_max, "series")
+        c, d = specfun._series_tables([a], n_max)[0]
+        assert np.array_equal(table.c.view(np.int64), c.view(np.int64))
+        assert np.array_equal(table.d.view(np.int64), d.view(np.int64))
+
+    def test_series_tables_rows_are_the_one_a_tables(self):
+        a_values = [0.0, 0.1, 1.0, 5.0]
+        tables = specfun._series_tables(a_values, 64)
+        assert tables.shape == (4, 2, 65)
+        for a, row in zip(a_values, tables):
+            assert np.array_equal(row, specfun._series_tables([a], 64)[0])
+
     def test_shared_term_limit(self, monkeypatch):
         # the lowest limit at which the scalar series of (n=0, a=5, c) converges: there the
         # batch converges to the same bits, and one below it both paths raise

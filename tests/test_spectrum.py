@@ -421,6 +421,15 @@ class TestContinuousLimit:
                              for k, depth in zip(ks, depths)])
         assert np.array_equal(continuous_limit_rate(n, a_values, ks, model=model), expected)
 
+    def test_models_share_one_single_winding_read(self, lane_passes):
+        # one call mixes every model from one read; row j is the model-j public call
+        a_values, ks = [0.0, 0.7, 61.0], [0, 2, 100, 150]
+        rates = spectrum._single_winding_rates(300, a_values, ks, ALL_MODELS)
+        assert rates.shape == (3, 4, 4) and len(lane_passes) == 1
+        for j, model in enumerate(ALL_MODELS):
+            assert np.array_equal(rates[:, j],
+                                  continuous_limit_rate(300, a_values, ks, model=model))
+
     def test_sequence_shapes(self):
         assert type(continuous_limit_rate(10, 3.0, 2)) is float
         assert continuous_limit_rate(10, [3.0], 2).shape == (1,)
@@ -499,6 +508,13 @@ class TestSubradiantEdge:
         n, d = 12, 0.25
         subradiant_edge(n, d)
         assert lane_passes == [[(n * d, n // 2), (lattice_conversion(n, d), n // 2)]]
+
+    @pytest.mark.parametrize("n, d", [(2, 0.45), (16, 0.3), (100, 0.1), (200000, 0.01)])
+    def test_exact_fields_are_edge_terms(self, n, d):
+        edge = subradiant_edge(n, d)
+        assert [edge.exact, edge.exact_ring] == spectrum._edge_terms(
+            (n, n), (n * d, lattice_conversion(n, d)))
+        assert [edge.exact] == spectrum._edge_terms((n,), (n * d,))
 
     @pytest.mark.parametrize("n, d", [(16, 0.3), (24, 0.3), (100, 0.1)])
     def test_fields_are_half_the_spectrum_edge_rate(self, n, d):

@@ -9,7 +9,7 @@ import pytest
 
 from ringdecay import (ModelKind, RingConfig, alias_cutoff, analytic_spectrum, coeff_c, coeff_d,
                        coeff_table, continuous_limit_rate, lattice_conversion, oracle_spectrum,
-                       series_admitted, specfun, subradiant_edge, validation)
+                       series_admitted, specfun, spectrum, subradiant_edge, validation)
 from ringdecay.validation import (CheckResult, _check, _check_coefficient_sums, _check_grid,
                                   _check_methods, _slope_check, format_report, run_checks)
 
@@ -213,17 +213,24 @@ def test_nan_oracle_rate_fails_the_oracle_checks_at_its_point(monkeypatch):
 
 
 @pytest.mark.parametrize("d_over_lambda", [0.1, 0.3])
-def test_slope_ln_rates_equal_subradiant_edge_bit_for_bit(d_over_lambda):
+def test_slope_ln_rates_equal_subradiant_edge_bit_for_bit(monkeypatch, d_over_lambda):
+    # the check fits the logs of one spectrum._edge_terms call, which are the
+    # logs of subradiant_edge(N, d/lambda).exact
     ns = range(16, 25, 2)
     lnr = [math.log(subradiant_edge(n, d_over_lambda).exact) for n in ns]
-    assert validation._edge_ln_rates(d_over_lambda, ns) == lnr
+    terms = []
+    edge_terms = spectrum._edge_terms
+    monkeypatch.setattr(validation, "_edge_terms",
+                        lambda *args: terms.append(edge_terms(*args)) or terms[-1])
+    result = _slope_check(d_over_lambda, "s")
+    assert len(terms) == 1 and [math.log(x) for x in terms[0]] == lnr
     # the exact least-squares slope, rounded once
     x, y = [Fraction(n) for n in ns], [Fraction(v) for v in lnr]
     x_bar, y_bar = sum(x) / len(x), sum(y) / len(y)
     slope = float(sum((p - x_bar) * (q - y_bar) for p, q in zip(x, y))
                   / sum((p - x_bar) ** 2 for p in x))
     target = 1.0 + math.log(d_over_lambda)
-    assert _slope_check(d_over_lambda, "s") == CheckResult(
+    assert result == CheckResult(
         "s", f"edge-mode ln-rate slope within 5% of ln(e d/lambda) = {target:.4f}",
         abs(slope / target - 1.0), 0.05, f"(d/lambda={d_over_lambda}, measured slope {slope:.4f})")
 
@@ -272,8 +279,8 @@ def test_each_table_set_is_one_lane_pass(monkeypatch):
 def test_method_check_is_one_series_pass(monkeypatch):
     # every admitted a, both moments, orders 0..64, in one call
     calls = []
-    batch = validation._series_batch
-    monkeypatch.setattr(validation, "_series_batch",
+    batch = specfun._series_batch
+    monkeypatch.setattr(specfun, "_series_batch",
                         lambda *args: calls.append([list(x) for x in args]) or batch(*args))
     _check_methods()
     assert calls == [[[*range(65)] * 8,
@@ -288,16 +295,16 @@ def plateau_args():
 
 
 def test_plateau_rates_equal_continuous_limit_calls_bit_for_bit(monkeypatch):
-    # the check's rates are N times its two mixes of one (c, d) read
+    # the check's rates of both models come from one spectrum._single_winding_rates call
     n, a, ks, scalar, vector = plateau_args()
-    mixes = []
-    mix = validation._harmonic_rates
-    monkeypatch.setattr(validation, "_harmonic_rates",
-                        lambda c, d, model: mixes.append(mix(c, d, model)) or mixes[-1])
+    calls = []
+    rates = spectrum._single_winding_rates
+    monkeypatch.setattr(validation, "_single_winding_rates",
+                        lambda *args: calls.append(rates(*args)) or calls[-1])
     validation._check_plateaus()
-    assert len(mixes) == 2
-    for rates, model in zip(mixes, (scalar, vector)):
-        assert np.array_equal(n * rates[0], continuous_limit_rate(n, a, ks, model=model))
+    assert len(calls) == 1 and calls[0].shape == (1, 2, len(ks))
+    for j, model in enumerate((scalar, vector)):
+        assert np.array_equal(calls[0][0, j], continuous_limit_rate(n, a, ks, model=model))
 
 
 def test_plateau_checks_equal_the_two_model_calls():

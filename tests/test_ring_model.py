@@ -5,6 +5,7 @@ spherical Bessel functions for the aligned-dipole kernel.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,11 +18,44 @@ from ringdecay import (
     RingConfig,
     coupling_matrix,
     lattice_conversion,
+    ring_model,
     scalar_gamma_kernel,
     vector_gamma_kernel,
 )
 
 MAGIC_DELTA = math.acos(1.0 / math.sqrt(3.0))
+
+# j1(x)/x at each double x, to 25 digits, frozen from mpmath 1.3.0 with
+#   mp.dps = 40
+#   X = mp.mpf(x); mp.nstr((mp.sin(X) / X - mp.cos(X)) / X**2, 25)
+# The points straddle the series-direct switch at 1.2 and cover 0.1 to 0.2, where
+# the direct form cancels; 1.6463416811947793 is the worst point of a dense scan of [0, 3].
+J1X_MPMATH = {
+    1e-08: "0.3333333333333333299999999",
+    0.05: "0.3332500074401317337624321",
+    0.0999: "0.3330007848835642889411014",
+    0.1: "0.3330001190255756972210186",
+    0.13: "0.3327703399055140618273887",
+    0.2: "0.3320019033516111541740582",
+    0.5: "0.3250740612721331377211772",
+    0.9: "0.3071027958626685551561837",
+    1.0: "0.3011686789397567892515657",
+    1.1: "0.2947044526621338883986645",
+    1.1999999999999997: "0.2877371415481586167235031",
+    1.2: "0.2877371415481586007155329",
+    1.25: "0.2840738131770881958600026",
+    1.5: "0.2641153138081481676472411",
+    1.6463416811947793: "0.2513053848324478016286016",
+    2.0: "0.2176988874899958086738945",
+    3.0: "0.1152258332541186516264986",
+}
+
+# the worst relative error of _j1_over_x measured against mpmath on [0, 3]:
+# 4.566e-16 at x = 1.6463416811947793, in the direct form
+J1X_REL_BOUND = 4.6e-16
+
+# both sides of the series-direct switch at |x| = 1.2, and the switch itself
+EVEN_POINTS = [1e-9, 0.05, 0.1, 0.5, 1.0, math.nextafter(1.2, 0.0), 1.2, 1.3, 5.0, 60.0]
 
 
 class TestRingConfig:
@@ -61,6 +95,12 @@ class TestScalarKernels:
     def test_gamma_is_bounded(self):
         x = np.linspace(0.0, 300.0, 4001)
         assert np.all(np.abs(scalar_gamma_kernel(x)) <= 1.0)
+
+    def test_even_in_x_bit_for_bit(self):
+        x = np.array(EVEN_POINTS)
+        assert np.array_equal(scalar_gamma_kernel(-x).view(np.int64),
+                              scalar_gamma_kernel(x).view(np.int64))
+        assert [scalar_gamma_kernel(-v) for v in EVEN_POINTS] == scalar_gamma_kernel(x).tolist()
 
     @pytest.mark.parametrize("kernel", [scalar_gamma_kernel,
                                         lambda x: vector_gamma_kernel(x, 0.3)],
@@ -105,10 +145,26 @@ class TestVectorKernel:
             assert np.max(np.abs(mine - ref)) < 1e-13
 
     def test_small_argument_branch_is_smooth(self):
-        # series-direct handover at x = 0.1 must be seamless
-        left = vector_gamma_kernel(0.1 - 1e-12, 0.7)
-        right = vector_gamma_kernel(0.1 + 1e-12, 0.7)
+        # series-direct handover at x = 1.2 must be seamless
+        left = vector_gamma_kernel(1.2 - 1e-12, 0.7)
+        right = vector_gamma_kernel(1.2 + 1e-12, 0.7)
         assert abs(left - right) < 1e-11
+
+    @pytest.mark.parametrize("x, reference", J1X_MPMATH.items())
+    def test_j1_over_x_against_frozen_mpmath(self, x, reference):
+        x = np.array(x)
+        got = float(ring_model._j1_over_x(x, ring_model._scalar_kernel(x)))
+        assert abs(Fraction(got) / Fraction(reference) - 1) <= J1X_REL_BOUND
+
+    @pytest.mark.parametrize("delta", [0.0, 0.7, math.pi / 2])
+    def test_even_in_x_bit_for_bit(self, delta):
+        x = np.array(EVEN_POINTS)
+        assert np.array_equal(vector_gamma_kernel(-x, delta).view(np.int64),
+                              vector_gamma_kernel(x, delta).view(np.int64))
+        for v in EVEN_POINTS:
+            assert vector_gamma_kernel(-v, delta) == vector_gamma_kernel(v, delta)
+        # the series at a large negative x would give -0.00768 here, not -0.0571
+        assert vector_gamma_kernel(-5.0, 0.0) == vector_gamma_kernel(5.0, 0.0)
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
@@ -145,10 +201,11 @@ def one_pass_row(config, model):
         x2 = seps * seps
         with np.errstate(divide="ignore", invalid="ignore"):
             direct = (sinc - np.cos(seps)) / x2
-        series = 1.0 / 3991680.0
-        for c in (-1.0 / 45360.0, 1.0 / 840.0, -1.0 / 30.0, 1.0 / 3.0):
-            series = series * x2 + c
-        j1x = np.where(seps < 0.1, series, direct)
+        series = 1 / -2554547108585472000
+        for d in (6758061133824000, -22230464256000, 93405312000, -518918400, 3991680, -45360,
+                  840, -30, 3):
+            series = series * x2 + 1 / d
+        j1x = np.where(seps < 1.2, series, direct)
         sin2, cos2 = math.sin(model.delta) ** 2, math.cos(model.delta) ** 2
         half = 1.5 * (sin2 * sinc + (3.0 * cos2 - 1.0) * j1x)
     else:

@@ -497,13 +497,6 @@ class TestSeriesBatch:
         assert np.array_equal(table.c.view(np.int64), c.view(np.int64))
         assert np.array_equal(table.d.view(np.int64), d.view(np.int64))
 
-    def test_series_tables_rows_are_the_one_a_tables(self):
-        a_values = [0.0, 0.1, 1.0, 5.0]
-        tables = specfun._series_tables(a_values, 64)
-        assert tables.shape == (4, 2, 65)
-        for a, row in zip(a_values, tables):
-            assert np.array_equal(row, specfun._series_tables([a], 64)[0])
-
     def test_shared_term_limit(self, monkeypatch):
         # the lowest limit at which the scalar series of (n=0, a=5, c) converges: there the
         # batch converges to the same bits, and one below it both paths raise

@@ -34,8 +34,6 @@ error or an output that cannot be written, 141 stdout closed by its
 reader.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os
@@ -59,9 +57,10 @@ BROKEN_PIPE = 141  # 128 + SIGPIPE, the code of a shell pipeline's killed writer
 # rows (alias_cutoff(a) + 1 once N//2 reaches the cutoff), which every mode
 # at that point reads.  Each |k| past min(N//2, alias_cutoff(a)) adds one
 # more sweep, of depth |k|, per point, and no limit caps those yet.  The
-# memory is bounded by the lane blocks: the tables are formed a block of
-# points at a time and never held for the whole grid (see the README for
-# measured times and peak RSS).
+# memory is bounded by the lane blocks: each sweep runs as its lane is
+# packed, and a block's padded array and the sweeps it holds stay within
+# 512 KiB unless one lane alone is wider, so neither sweeps nor tables are
+# held for the whole grid (see the README for measured times and peak RSS).
 _MAX_GRID_POINTS = 10**4
 
 # Rows per ``%`` call: bounds the writer's Python objects, whatever the row count.

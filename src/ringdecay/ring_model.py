@@ -34,8 +34,6 @@ runs the same private kernels on chords built from validated sizes and
 ``ModelKind``s, without checking them again.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

@@ -41,20 +41,20 @@ Every coefficient is computable by two independent routes:
 
 The closed forms run in lanes, one (a, depth) pair each: every lane runs
 its own recurrence, and one numpy pass forms c_n and d_n of a whole
-block of lanes, each with the bits of the table built alone.  Whole
-tables, one per (a, n_max), come from ``_closed_form_tables``: one pass
-over their lanes, each row cut to its n_max.  ``coeff_table``'s closed
-form is its one-pair case, so one path builds every closed-form table.
-Many reads at once, c and d of order n at a from the table of a given
-depth, go through ``_closed_form_reads``, which owns the lane protocol:
-it numbers one lane per distinct (a, depth), packs the lanes into blocks
-of at most 512 KiB, and gathers each read from its lane.
+block of lanes, each with the bits of the table built alone.  One packer,
+``_lane_blocks``, sweeps each lane as it packs it and closes a block
+before the block's padded array and the sweeps it holds would pass
+512 KiB, so any set of lanes runs in bounded memory.  Whole tables, one
+per (a, n_max), come from ``_closed_form_tables``, each row cut to its
+n_max; ``coeff_table``'s closed form is its one-pair case, so one path
+builds every closed-form table.  Many reads at once, c and d of order n
+at a from the table of a given depth, go through ``_closed_form_reads``:
+it numbers one lane per distinct (a, depth) and gathers each read from
+its lane's block.
 
 Rates and lengths are dimensionless throughout (units of the linewidth
 and of the inverse wavenumber), so no physical constants appear here.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
@@ -173,10 +173,13 @@ def series_admitted(n: int, a: float) -> bool:
 # Terms that one coefficient's series may take before it is refused as unconverged.
 _SERIES_MAX_TERMS = 5000
 
-# Steps of one ``_series_batch`` chunk, and the most term ratios (512 KiB of
-# float64) one chunk's table holds; a chunk of many coefficients takes fewer steps.
+# Steps of one ``_series_batch`` chunk; a chunk of many coefficients takes fewer.
 _SERIES_CHUNK_STEPS = 16
-_SERIES_TABLE_ELEMENTS = 2**16
+
+# The most float64 elements (512 KiB) that one bounded numpy pass holds: a
+# series chunk's table of term ratios, or a lane block's padded array and
+# the sweeps it packs.
+_BLOCK_ELEMENTS = 2**16
 
 
 def _coeff_series(n: int, a: float, moment: int) -> float:
@@ -229,7 +232,7 @@ def _series_batch(ns, a_values, moments) -> np.ndarray:
     the scalar's order, ``math.exp`` mapped over the list of exponents,
     and 1/w at n = 0.  The terms then run in chunks of at
     most _SERIES_CHUNK_STEPS steps, fewer once a chunk's table of ratios
-    would pass _SERIES_TABLE_ELEMENTS, and never past the step where
+    would pass _BLOCK_ELEMENTS, and never past the step where
     _SERIES_MAX_TERMS raises.  One table holds every live coefficient's
     ratio per step of the chunk, each formed in the scalar's operation
     order from integers held exactly as floats; each step is then the
@@ -259,7 +262,7 @@ def _series_batch(ns, a_values, moments) -> np.ndarray:
     m = 0
     with np.errstate(under="ignore"):
         while slot.size:
-            steps = min(_SERIES_CHUNK_STEPS, max(1, _SERIES_TABLE_ELEMENTS // slot.size),
+            steps = min(_SERIES_CHUNK_STEPS, max(1, _BLOCK_ELEMENTS // slot.size),
                         _SERIES_MAX_TERMS + 1 - m)
             ms = np.arange(m + 1.0, m + steps + 1.0)[:, None]  # the chunk's m, one row each
             # num = 2n + 2m + w - 2 and den = m (2n + m) (2n + 2m + w), exact integers
@@ -293,35 +296,21 @@ def _series_tables(a_values, n_max: int) -> np.ndarray:
                          ).reshape(len(a_values), 2, -1)
 
 
-# Largest padded lane array, in elements (512 KiB of float64), that one block
-# of ``_closed_form_reads`` holds; a lane wider than that is a block alone.
-_LANE_BLOCK_ELEMENTS = 2**16
-
-
-def _lane_width(a: float, depth: int) -> int:
-    """A lane's width in orders: its sweep's 0..start, or the 2 depth + 4 read at a = 0."""
-    return 2 * depth + 4 if a < _A_TINY else _miller_start(2.0 * a, 2 * depth + 3) + 1
-
-
-def _closed_form_lanes(lanes, width: int):
+def _closed_form_lanes(lanes, sweeps):
     """c_n(a) and d_n(a), n = 0..max depth, of each lane (a, depth) in one pass.
 
-    Each lane with a >= _A_TINY runs its own ``_miller_sweep(2a, 2 depth + 3)``,
-    the sweep of a one-lane table, into a row of one zero-padded array
-    ``width`` orders wide.  The tail sums run from the top order down, so
-    the padded orders add 0.0 before the first real term, and every lane
-    keeps the bits of its one-lane table.  Row i holds lane i's c_n and d_n
-    in columns 0..depth; later columns are not its coefficients.
+    ``sweeps`` holds each lane's J_0(2a) .. J_start(2a), the sweep of a
+    one-lane table, or zeros below _A_TINY.  They fill the rows of one
+    zero-padded array as wide as the widest sweep.  The tail sums run from
+    the top order down, so the padded orders add 0.0 before the first real
+    term, and every lane keeps the bits of its one-lane table.  Row i holds
+    lane i's c_n and d_n in columns 0..depth; later columns are not its
+    coefficients.
     """
     n_max = max(depth for _, depth in lanes)
-    j = np.zeros((len(lanes), width))
-    tiny = []
-    for i, (a, depth) in enumerate(lanes):
-        if a < _A_TINY:
-            tiny.append(i)
-        else:
-            sweep = _miller_sweep(2.0 * a, 2 * depth + 3)
-            j[i, :len(sweep)] = sweep
+    j = np.zeros((len(lanes), max(sweep.size for sweep in sweeps)))
+    for row, sweep in zip(j, sweeps):
+        row[:sweep.size] = sweep
     # a and z^3 per lane, z^3 by Python's pow as a scalar z**3 has it; 1.0 keeps a = 0 finite
     a, z3 = np.array([(x, (2.0 * x)**3) if x >= _A_TINY else (1.0, 8.0)
                       for x, _ in lanes]).T[:, :, None]
@@ -333,10 +322,34 @@ def _closed_form_lanes(lanes, width: int):
     nu_minus, twice_nu_plus = np.arange(-1.0, 2 * n_max, 2.0), np.arange(2.0, 4 * n_max + 3, 4.0)
     d = (nu_minus * (twice_nu_plus * tail[:, 1:n_max + 2] + z * j[:, 2:2 * n_max + 3:2])
          + z * z * j[:, 1:2 * n_max + 2:2]) / z3
-    for i in tiny:  # the a = 0 values
-        c[i], d[i] = 0.0, 0.0
-        c[i, 0], d[i, 0] = 1.0, 1.0 / 3.0
+    for i, (x, _) in enumerate(lanes):
+        if x < _A_TINY:  # the a = 0 values
+            c[i], d[i] = 0.0, 0.0
+            c[i, 0], d[i, 0] = 1.0, 1.0 / 3.0
     return c, d
+
+
+def _lane_blocks(lanes):
+    """(first lane, c, d) per block of consecutive lanes (a, depth), each one pass.
+
+    Each lane's ``_miller_sweep(2a, 2 depth + 3)``, or 2 depth + 4 zeros
+    below _A_TINY, runs as the lane is packed.  A block closes before its
+    padded array, as wide as its widest sweep, plus the sweeps it holds
+    would pass _BLOCK_ELEMENTS, so a lane wider than that is a block alone;
+    ``_closed_form_lanes`` then forms the block's c and d.
+    """
+    first, block, sweeps, width, held = 0, [], [], 0, 0
+    for i, (a, depth) in enumerate(lanes):
+        sweep = np.zeros(2 * depth + 4) if a < _A_TINY else _miller_sweep(2.0 * a, 2 * depth + 3)
+        width = max(width, sweep.size)
+        held += sweep.size
+        if block and (len(block) + 1) * width + held > _BLOCK_ELEMENTS:
+            yield first, *_closed_form_lanes(block, sweeps)
+            first, block, sweeps, width, held = i, [], [], sweep.size, sweep.size
+        block.append((a, depth))
+        sweeps.append(sweep)
+    if block:
+        yield first, *_closed_form_lanes(block, sweeps)
 
 
 def _closed_form_reads(a_values, depth: np.ndarray, orders: np.ndarray):
@@ -346,48 +359,32 @@ def _closed_form_reads(a_values, depth: np.ndarray, orders: np.ndarray):
     each row of ``depth`` rises too, and no depth is below its order.  A
     depth that differs from its left neighbour starts a new lane, so there
     is one lane per distinct (a, depth) and the lane numbers never fall in
-    read order.  The lanes' a and depth are kept as two arrays, beside one
-    width per lane.  Lanes are taken in order into blocks while a block's
-    padded array, as wide as its widest lane, stays within
-    ``_LANE_BLOCK_ELEMENTS``; only when a block runs are its (a, depth)
-    pairs formed for ``_closed_form_lanes``, which forms the block in one
-    numpy pass, and its reads are gathered from it.
+    read order.  Each block of ``_lane_blocks`` is gathered into the reads
+    of its lanes as it comes.
     """
     new = np.ones(depth.shape, dtype=bool)
     new[:, 1:] = depth[:, 1:] != depth[:, :-1]
     lane = np.cumsum(new, axis=None) - 1  # the lane of each read
-    lane_a = np.asarray(a_values, dtype=float)[np.nonzero(new)[0]]
-    lane_depth = depth[new]
-    # the closing inf fits in no block, so it ends the last one
-    widths = [*map(_lane_width, lane_a.tolist(), lane_depth.tolist()), math.inf]
+    lanes = zip(np.asarray(a_values, dtype=float)[np.nonzero(new)[0]].tolist(),
+                depth[new].tolist())
     c, d = np.empty(lane.size), np.empty(lane.size)
-    start = width = 0
-    for i, lane_width in enumerate(widths):
-        if i > start and (i + 1 - start) * max(width, lane_width) > _LANE_BLOCK_ELEMENTS:
-            block = list(zip(lane_a[start:i].tolist(), lane_depth[start:i].tolist()))
-            block_c, block_d = _closed_form_lanes(block, width)
-            reads = slice(*np.searchsorted(lane, [start, i]).tolist())
-            # (row in the block, order) per read; a row of depth holds one read per order
-            at = (lane[reads] - start, orders[np.arange(reads.start, reads.stop) % orders.size])
-            c[reads], d[reads] = block_c[at], block_d[at]
-            start, width = i, 0
-        width = max(width, lane_width)
+    for first, block_c, block_d in _lane_blocks(lanes):
+        reads = slice(*np.searchsorted(lane, [first, first + len(block_c)]).tolist())
+        # (row in the block, order) per read; a row of depth holds one read per order
+        at = (lane[reads] - first, orders[np.arange(reads.start, reads.stop) % orders.size])
+        c[reads], d[reads] = block_c[at], block_d[at]
     return c.reshape(depth.shape), d.reshape(depth.shape)
 
 
 def _closed_form_tables(pairs) -> list:
-    """The closed-form table (c, d), n = 0..n_max, of each pair (a, n_max), from one pass.
+    """The closed-form table (c, d), n = 0..n_max, of each pair (a, n_max) in a list.
 
-    Every pair is a lane of one ``_closed_form_lanes`` pass as wide as its
-    widest lane, and row i is cut to n_max_i + 1 orders, so each table has
-    the bits of the table built alone.  The a must be validated.  The pass
-    holds every lane at once, so its callers keep to a few lanes: one in
-    ``coeff_table``, ``coeff_c`` and ``coeff_d``, two in ``subradiant_edge``,
-    one per a in ``spectrum._analytic_rates`` (``validate``'s grid is 6
-    lanes of at most 419 orders), and at most five in each validation check.
+    The pairs are the lanes of ``_lane_blocks``, and row i of a block is
+    cut to its n_max + 1 orders, so each table has the bits of the table
+    built alone.  The a must be validated.
     """
-    c, d = _closed_form_lanes(pairs, max([_lane_width(*pair) for pair in pairs]))
-    return [(c[i, :n_max + 1], d[i, :n_max + 1]) for i, (_, n_max) in enumerate(pairs)]
+    rows = ((c_row, d_row) for _, c, d in _lane_blocks(pairs) for c_row, d_row in zip(c, d))
+    return [(c[:n_max + 1], d[:n_max + 1]) for (_, n_max), (c, d) in zip(pairs, rows)]
 
 
 def _check_a_and_method(a, method) -> float:

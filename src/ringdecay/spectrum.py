@@ -30,18 +30,17 @@ rows of ``ring_model._kernel_halves``, which owns the kernel.
 The coefficients are the closed forms evaluated by one Bessel
 recurrence at Z = 2a; the power series in ``specfun`` is their
 independent second route.  Every spectrum at a reads the table of depth
-``alias_cutoff(a)``; a grid's tables are built together, in one
-``specfun._closed_form_tables`` pass, and none is kept between calls.
+``alias_cutoff(a)``; a grid's tables come from one
+``specfun._closed_form_tables`` call, a bounded block of lanes per numpy
+pass, and none is kept between calls.
 
 Asymptotic companions: the single-winding (continuum-limit) rate
 N c_k(a), the even-N subradiant edge rate with its exponential estimate,
 and the closed-form large-a aligned-dipole estimate.  The first two are
 batched like the routes, and ``validation`` calls the batches:
 ``_single_winding_rates`` mixes every model from one table read, and
-``_edge_terms`` forms every edge term N c_{N/2} from one table pass.
+``_edge_terms`` forms every edge term N c_{N/2} from one table call.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
@@ -110,7 +109,7 @@ def _analytic_rates(ns, a_values, models) -> list:
     """The aliased sums of every (a, model) row: one (a, model, N) array per N in ``ns``.
 
     The tables of every a, rows 0..alias_cutoff(a), come from one
-    ``_closed_form_tables`` pass.  Row r = i len(models) + j holds the
+    ``_closed_form_tables`` call.  Row r = i len(models) + j holds the
     orders -n_max..n_max of the table at a_values[i] and the rate per atom
     that each carries under models[j], formed once for every N.  Each N
     folds every row in one ``np.bincount``: term t adds its weight to mode
@@ -261,7 +260,7 @@ def subradiant_edge(n_atoms: int, d_over_lambda: float) -> SubradiantEdge:
 
 
 def _edge_terms(ns, a_values) -> list:
-    """Edge term N c_{N/2}(a) per even N of ``ns`` and valid a of ``a_values``, one table pass."""
+    """Edge term N c_{N/2}(a) per even N of ``ns`` and valid a of ``a_values``, one table call."""
     tables = _closed_form_tables([(a, n // 2) for n, a in zip(ns, a_values)])
     return [n * float(c[n // 2]) for n, (c, _) in zip(ns, tables)]
 

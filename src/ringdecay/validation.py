@@ -30,8 +30,6 @@ the exact spectrum is suppressed markedly faster (measured slope around
 same machinery passing where the closed form is applicable.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

@@ -686,6 +686,16 @@ class TestSweep:
         grid = cli._log_grid(0.05, 100.0, points)
         assert sweeps == [(2.0 * cli._a_from_lambda_over_d(10, x), 13) for x in grid]
 
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_fifty_point_grid_is_one_lane_pass(self, capsys, monkeypatch, n):
+        # over the default range every point's lane fits one block
+        passes = []
+        lanes = specfun._closed_form_lanes
+        monkeypatch.setattr(specfun, "_closed_form_lanes",
+                            lambda block, sweeps: passes.append(len(block)) or lanes(block, sweeps))
+        code, _, err = run_cli(capsys, "sweep", "--n-atoms", str(n), "--grid-points", "50")
+        assert (code, err, passes) == (0, "", [50])
+
     @pytest.mark.parametrize("argv", [
         (),
         ("--n-atoms", "2", "--k", "0,1", "--grid-points", "9"),

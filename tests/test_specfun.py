@@ -178,17 +178,26 @@ class TestClosedFormLanes:
 
     @pytest.fixture
     def blocks(self, monkeypatch):
-        """Each ``_closed_form_lanes`` call as (lanes, width, c, d), in call order."""
+        """Each ``_closed_form_lanes`` call as (lanes, sweep sizes, c, d), in call order."""
         calls = []
         lanes = specfun._closed_form_lanes
 
-        def recorded(block, width):
-            c, d = lanes(block, width)
-            calls.append((block, width, c, d))
+        def recorded(block, sweeps):
+            c, d = lanes(block, sweeps)
+            calls.append((block, [sweep.size for sweep in sweeps], c, d))
             return c, d
 
         monkeypatch.setattr(specfun, "_closed_form_lanes", recorded)
         return calls
+
+    @staticmethod
+    def assert_blocks_cover(blocks, lanes):
+        """The blocks hold the lanes in order, each one lane alone or within the bound."""
+        assert [lane for block, _, _, _ in blocks for lane in block] == list(lanes)
+        for block, sizes, _, _ in blocks:
+            # the padded array, as wide as the widest sweep, and the sweeps it holds
+            padded = len(block) * max(sizes)
+            assert len(block) == 1 or padded + sum(sizes) <= specfun._BLOCK_ELEMENTS
 
     @staticmethod
     def read_lanes():
@@ -199,10 +208,10 @@ class TestClosedFormLanes:
     @pytest.mark.parametrize("cap", [None, 1, 700, 5000])
     def test_lanes_equal_one_lane_builds_bit_for_bit(self, monkeypatch, blocks, cap):
         if cap is not None:
-            monkeypatch.setattr(specfun, "_LANE_BLOCK_ELEMENTS", cap)
+            monkeypatch.setattr(specfun, "_BLOCK_ELEMENTS", cap)
         c, d = self.read_lanes()
         assert len(blocks) > 1  # at least one block seam
-        assert [lane for block, _, _, _ in blocks for lane in block] == LANES
+        self.assert_blocks_cover(blocks, LANES)
         rows = [(c_row, d_row) for _, _, c, d in blocks for c_row, d_row in zip(c, d)]
         for (a, depth), (c_row, d_row), read in zip(LANES, rows, zip(c[:, 0], d[:, 0])):
             c_ref, d_ref = closed_form_reference(a, depth)
@@ -211,12 +220,13 @@ class TestClosedFormLanes:
             assert read == (c_ref[0], d_ref[0]), (a, depth)
 
     def test_tables_equal_coeff_table_bit_for_bit(self, blocks):
-        # every (a, n_max) of the grid, in a shuffled order, in one pass
+        # every (a, n_max) of the grid, in a shuffled order, in bounded blocks
         pairs = [(a, n_max) for a in (0.0, 1e-8, 0.3, 5.0, 50.0, 2000.0, 1e4)
                  for n_max in (0, 1, 64, alias_cutoff(a))]
         random.Random(7).shuffle(pairs)
         tables = specfun._closed_form_tables(pairs)
-        assert [block for block, _, _, _ in blocks] == [pairs]
+        assert len(blocks) > 1
+        self.assert_blocks_cover(blocks, pairs)
         assert len(tables) == len(pairs)
         for (a, n_max), (c, d) in zip(pairs, tables):
             table = coeff_table(a, n_max)
@@ -224,10 +234,44 @@ class TestClosedFormLanes:
 
     def test_blocks_stay_within_the_cap(self, blocks):
         self.read_lanes()
-        assert sum(len(block) for block, _, _, _ in blocks) == len(LANES)
-        for block, width, _, _ in blocks:
-            n = len(block)
-            assert n == 1 or n * width <= specfun._LANE_BLOCK_ELEMENTS
+        self.assert_blocks_cover(blocks, LANES)
+        # the bound still lets small lanes share a block
+        assert any(len(block) > 1 for block, _, _, _ in blocks)
+
+    def test_one_miller_start_per_swept_lane(self, monkeypatch):
+        # a lane below _A_TINY runs no sweep; every other lane computes its start once
+        starts = []
+        start = specfun._miller_start
+        monkeypatch.setattr(specfun, "_miller_start",
+                            lambda x, top: starts.append((x, top)) or start(x, top))
+        swept = [(2.0 * a, 2 * depth + 3) for a, depth in LANES if a >= specfun._A_TINY]
+        specfun._closed_form_tables(LANES)
+        assert starts == swept
+        starts.clear()
+        self.read_lanes()
+        assert starts == swept
+
+    def test_mixed_table_set_memory_is_bounded(self):
+        # 100 shallow lanes and one cutoff-deep lane at a = 1e4: padded to the
+        # deep lane's width in one pass, the set would peak near 50 MiB
+        import tracemalloc
+
+        pairs = [(5.0, 64)] * 100 + [(1e4, alias_cutoff(1e4))]
+        specfun._closed_form_tables(pairs)
+        tracemalloc.start()
+        try:
+            specfun._closed_form_tables(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_no_reads_run_no_pass(self, blocks):
+        for shape in ((0, 3), (2, 0)):
+            c, d = specfun._closed_form_reads([1.0] * shape[0], np.zeros(shape, dtype=int),
+                                              np.arange(shape[1]))
+            assert c.shape == d.shape == shape
+        assert specfun._closed_form_tables([]) == [] and blocks == []
 
 
 class TestCoeffC:
@@ -456,8 +500,8 @@ class TestSeriesBatch:
     def test_batch_past_the_table_bound_bit_for_bit(self):
         # the first chunks take one step each, and widen as coefficients stop
         points = seam_points() + series_grid(13, 300)
-        many = points * (specfun._SERIES_TABLE_ELEMENTS // len(points) + 1)
-        assert len(many) > specfun._SERIES_TABLE_ELEMENTS
+        many = points * (specfun._BLOCK_ELEMENTS // len(points) + 1)
+        assert len(many) > specfun._BLOCK_ELEMENTS
         with np.errstate(all="raise"):
             batch = specfun._series_batch(*zip(*many))
         assert_scalar_bits(batch, many)

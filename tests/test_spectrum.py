@@ -56,11 +56,21 @@ def reference_mix(c, d, k, model):
 
 @pytest.fixture
 def lane_passes(monkeypatch):
-    """The lanes of each ``specfun._closed_form_lanes`` pass, one list per pass."""
+    """The lanes of each ``specfun._closed_form_lanes`` pass, one list per pass.
+
+    Each pass holds one lane alone, or lanes whose padded array and sweeps
+    stay within ``specfun._BLOCK_ELEMENTS``.
+    """
     passes = []
     lanes = specfun._closed_form_lanes
-    monkeypatch.setattr(specfun, "_closed_form_lanes",
-                        lambda block, width: passes.append(list(block)) or lanes(block, width))
+
+    def recorded(block, sweeps):
+        sizes = [sweep.size for sweep in sweeps]
+        assert len(block) == 1 or len(block) * max(sizes) + sum(sizes) <= specfun._BLOCK_ELEMENTS
+        passes.append(list(block))
+        return lanes(block, sweeps)
+
+    monkeypatch.setattr(specfun, "_closed_form_lanes", recorded)
     return passes
 
 
@@ -267,9 +277,12 @@ class TestBatchedRates:
                 assert np.array_equal(oracle[i, j], oracle_spectrum(config, model).rates), \
                     (a, model)
 
-    def test_every_table_is_one_lane_pass(self, lane_passes):
+    def test_every_table_is_one_lane_of_bounded_blocks(self, lane_passes):
+        # one lane per a, in order, in blocks within the bound: a = 1e4 is a block alone
         spectrum._analytic_rates(BATCH_N, BATCH_A, BATCH_MODELS)
-        assert lane_passes == [[(a, alias_cutoff(a)) for a in BATCH_A]]
+        assert [lane for block in lane_passes for lane in block] == [(a, alias_cutoff(a))
+                                                                     for a in BATCH_A]
+        assert lane_passes[-1] == [(1e4, alias_cutoff(1e4))]
 
     @pytest.mark.parametrize("model", [ALL_MODELS[0], ALL_MODELS[1]], ids=lambda m: m.label())
     def test_one_row_paths_hold_no_extra_n_sized_array(self, model):
@@ -408,7 +421,7 @@ class TestContinuousLimit:
         # closed forms.  The small a put |k| = 100 and N//2 past the cutoff;
         # the patched caps move the seams between the library's lane blocks.
         if cap is not None:
-            monkeypatch.setattr(specfun, "_LANE_BLOCK_ELEMENTS", cap)
+            monkeypatch.setattr(specfun, "_BLOCK_ELEMENTS", cap)
         rng = np.random.default_rng(20250117)
         half = n // 2
         a_values = [0.0, 1e-60, 3e-50, 0.7, 3.0, 61.0, 1e4,

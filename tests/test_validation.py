@@ -263,7 +263,7 @@ def test_each_table_set_is_one_lane_pass(monkeypatch):
     passes = []
     lanes = specfun._closed_form_lanes
     monkeypatch.setattr(specfun, "_closed_form_lanes",
-                        lambda block, width: passes.append(list(block)) or lanes(block, width))
+                        lambda block, sweeps: passes.append(list(block)) or lanes(block, sweeps))
     _check_coefficient_sums()
     _slope_check(0.3, "s")
     _check_methods()
